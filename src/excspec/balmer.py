@@ -18,11 +18,10 @@ relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
-from .combinat import INF, NatInfinity, delta_p, is_prime, ppp_exists
-from .poset import Poset, transitive_reduction
+from .combinat import INF, NatInfinity, check_window, delta_p, is_prime, ppp_exists
+from .poset import Poset, order_relation
 from .zariski import ZariskiPrime, canonical_layer
 
 __all__ = [
@@ -105,7 +104,7 @@ def b_leq(a: BalmerPrime, b: BalmerPrime, primes: frozenset | set | tuple) -> bo
 
 
 @dataclass(frozen=True)
-class SpectrumTruncation:
+class SpectrumTruncation(Poset):
     """All canonical points of the degree-d spectrum with height in
     {1..hmax} (plus infinity when flagged) over a finite prime set,
     together with the precomputed containment relation."""
@@ -114,27 +113,6 @@ class SpectrumTruncation:
     primes: tuple[int, ...]
     hmax: int
     include_infinity: bool
-    points: tuple[BalmerPrime, ...]
-    relation: frozenset = field(repr=False)
-
-    @cached_property
-    def _index(self) -> dict[BalmerPrime, int]:
-        return {pt: i for i, pt in enumerate(self.points)}
-
-    def __contains__(self, point: BalmerPrime) -> bool:
-        return point in self._index
-
-    def leq(self, a: BalmerPrime, b: BalmerPrime) -> bool:
-        if a == b:
-            return a in self._index
-        return (self._index[a], self._index[b]) in self.relation
-
-    @cached_property
-    def covers(self) -> tuple:
-        return transitive_reduction(len(self.points), self.relation)
-
-    def to_poset(self) -> Poset:
-        return Poset(nodes=self.points, relation=self.relation, covers=self.covers)
 
 
 def _truncation_points(
@@ -161,27 +139,16 @@ def b_truncation(
     """Materialize the finite truncated spectrum and its full order."""
     if hmax < 1:
         raise ValueError("hmax must be >= 1")
-    if not primes:
-        raise ValueError("prime set must be non-empty")
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
-    prime_tuple = tuple(sorted(set(primes)))
-    points = _truncation_points(d, prime_tuple, hmax, include_infinity)
+    prime_tuple = check_window(d, primes)
     prime_set = frozenset(prime_tuple)
-    relation = frozenset(
-        (i, j)
-        for i, a in enumerate(points)
-        for j, b in enumerate(points)
-        if i != j and b_leq(a, b, prime_set)
-    )
+    points = tuple(_truncation_points(d, prime_tuple, hmax, include_infinity))
     return SpectrumTruncation(
+        points=points,
+        relation=order_relation(points, lambda a, b: b_leq(a, b, prime_set)),
         d=d,
         primes=prime_tuple,
         hmax=hmax,
         include_infinity=include_infinity,
-        points=tuple(points),
-        relation=relation,
     )
 
 

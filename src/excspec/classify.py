@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balmer import BalmerPrime, SpectrumTruncation
-from .combinat import INF, BudgetError, NatInfinity, delta_p
+from .combinat import INF, BudgetError, NatInfinity, check_window, delta_p
 
 __all__ = [
     "PAdmissibleFunction",
@@ -127,19 +127,15 @@ def validate_thomason(points: frozenset, trunc: SpectrumTruncation) -> None:
     for pt in points:
         if pt not in trunc:
             raise ValueError(f"point {pt} not in truncation")
-    for b in points:
-        for a in trunc.points:
-            if trunc.leq(a, b) and a not in points:
-                raise ValueError(
-                    f"not specialization-closed: {a} lies under member {b}"
-                )
-    for pt in points:
-        if not any(
-            q.height is not INF and trunc.leq(pt, q) for q in points
-        ):
-            raise ValueError(
-                f"member {pt} lies under no finite-height member"
-            )
+    missing = trunc.down_closure(points) - points
+    if missing:
+        a = next(q for q in trunc.points if q in missing)
+        b = next(b for b in points if trunc.leq(a, b))
+        raise ValueError(f"not specialization-closed: {a} lies under member {b}")
+    uncovered = points - trunc.down_closure(q for q in points if q.height is not INF)
+    if uncovered:
+        pt = next(q for q in trunc.points if q in uncovered)
+        raise ValueError(f"member {pt} lies under no finite-height member")
 
 
 def _as_admissible(f) -> AdmissibleFunction:
@@ -221,8 +217,9 @@ def enumerate_p_admissible(
     ones; since the inequality always bounds the larger layer, pruning
     is exact.
     """
-    if d < 1 or hmax < 0:
-        raise ValueError("need d >= 1 and hmax >= 0")
+    check_window(d, (p,))
+    if hmax < 0:
+        raise ValueError("need hmax >= 0")
     if (hmax + 2) ** d > budget:
         raise BudgetError(
             f"enumeration budget exceeded: ({hmax + 2})**{d} > {budget}"
@@ -273,8 +270,6 @@ def thomason_union_closure(
             raise ValueError(f"infinite-height seed {s} is not allowed")
         if s not in trunc:
             raise ValueError(f"seed {s} not in truncation")
-    members = frozenset(
-        q for q in trunc.points if any(trunc.leq(q, s) for s in seed_list)
-    )
+    members = trunc.down_closure(seed_list)
     validate_thomason(members, trunc)
     return ThomasonSubset(trunc, members)

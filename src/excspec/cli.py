@@ -12,28 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import balmer, burnside, classify, combinat, hzspec, zariski
 from .combinat import INF, BudgetError
 from .poset import Poset, build_poset
 
-__all__ = ["main", "RenderConfig"]
-
-FORMATS = ("dot", "json", "csv", "text")
-
-
-@dataclass(frozen=True)
-class RenderConfig:
-    """Serialization choices for poset output: exactly one format, with
-    specialization drawn upward (containment arrows point downward)."""
-
-    fmt: str
-    graph_name: str = "spectrum"
-
-    def __post_init__(self):
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
+__all__ = ["main"]
 
 
 def _height_str(h) -> str:
@@ -53,21 +37,21 @@ def hz_label(pt: hzspec.HZPrime) -> str:
     return f"hz({pt.layer}|{pt.residue})"
 
 
-def poset_to_dot(poset: Poset, label, config: RenderConfig) -> str:
-    lines = [f"digraph {config.graph_name} {{"]
+def poset_to_dot(poset: Poset, label, graph_name: str) -> str:
+    lines = [f"digraph {graph_name} {{"]
     lines.append("  rankdir=TB;  // containment arrows point downward")
     lines.append("  node [shape=box];")
-    for node in poset.nodes:
+    for node in poset.points:
         lines.append(f'  "{label(node)}";')
     for a, b in sorted(poset.covers):
-        lines.append(f'  "{label(poset.nodes[a])}" -> "{label(poset.nodes[b])}";')
+        lines.append(f'  "{label(poset.points[a])}" -> "{label(poset.points[b])}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def poset_to_json(poset: Poset, point_dict) -> str:
     payload = {
-        "points": [point_dict(node) for node in poset.nodes],
+        "points": [point_dict(node) for node in poset.points],
         "covers": [list(pair) for pair in sorted(poset.covers)],
         "relation": [list(pair) for pair in sorted(poset.relation)],
     }
@@ -75,11 +59,11 @@ def poset_to_json(poset: Poset, point_dict) -> str:
 
 
 def poset_to_text(poset: Poset, label) -> str:
-    lines = [f"points: {len(poset.nodes)}"]
-    lines.extend(f"  {label(node)}" for node in poset.nodes)
+    lines = [f"points: {len(poset.points)}"]
+    lines.extend(f"  {label(node)}" for node in poset.points)
     lines.append(f"covers: {len(poset.covers)}")
     lines.extend(
-        f"  {label(poset.nodes[a])} <= {label(poset.nodes[b])}"
+        f"  {label(poset.points[a])} <= {label(poset.points[b])}"
         for a, b in sorted(poset.covers)
     )
     return "\n".join(lines) + "\n"
@@ -187,15 +171,18 @@ def _spec_poset(args):
     if args.variant == "hz":
         points = hzspec.hz_points(args.d, primes)
         if args.slice is not None:
+            if args.slice != 0 and args.slice not in primes:
+                raise ValueError(
+                    f"--slice must be 0 or one of the primes, got {args.slice}"
+                )
             points = [q for q in points if q.residue == args.slice]
         poset = build_poset(points, hzspec.hz_leq)
         return poset, hz_label, lambda q: {"layer": q.layer, "char": q.residue}
     trunc = balmer.b_truncation(
         args.d, primes, args.hmax, include_infinity=not args.no_inf
     )
-    poset = trunc.to_poset()
     return (
-        poset,
+        trunc,
         balmer_label,
         lambda q: {"layer": q.layer, "char": q.char, "height": _height_str(q.height)},
     )
@@ -203,10 +190,9 @@ def _spec_poset(args):
 
 def cmd_spec(args) -> int:
     poset, label, point_dict = _spec_poset(args)
-    config = RenderConfig(fmt=args.format, graph_name=args.variant)
-    if config.fmt == "dot":
-        sys.stdout.write(poset_to_dot(poset, label, config))
-    elif config.fmt == "json":
+    if args.format == "dot":
+        sys.stdout.write(poset_to_dot(poset, label, args.variant))
+    elif args.format == "json":
         sys.stdout.write(poset_to_json(poset, point_dict))
     else:
         sys.stdout.write(poset_to_text(poset, label))

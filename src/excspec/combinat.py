@@ -14,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "delta_p_brute",
     "shortest_ppp_chain",
     "is_prime",
+    "check_window",
 ]
 
 MU_BRUTE_CELL_BUDGET = 20  # enumerate all 2**(i*j) subsets only up to here
@@ -124,6 +125,21 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def check_window(d: int, primes: Iterable[int]) -> tuple[int, ...]:
+    """Validated scope of a degree-d window: d >= 1 and a non-empty set
+    of genuine primes, returned sorted and without repeats.  Every
+    constructor of a window-shaped object checks its input here."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d = {d}")
+    prime_tuple = tuple(sorted(set(primes)))
+    if not prime_tuple:
+        raise ValueError("prime set must be non-empty")
+    for p in prime_tuple:
+        if not is_prime(p):
+            raise ValueError(f"not a prime: {p}")
+    return prime_tuple
+
+
 # ---------------------------------------------------------------------------
 # basic counts
 # ---------------------------------------------------------------------------
@@ -137,29 +153,37 @@ def binomial(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k): partitions of an
-    n-set into k nonempty blocks."""
-    if n < 0 or k < 0:
-        return 0
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    if k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+def _stirling2_row(n: int) -> tuple[int, ...]:
+    row = [1]  # S(0, k) for k = 0..n
+    for m in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, m)] + [1]
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
+def _stirling1_row(n: int) -> tuple[int, ...]:
+    row = [1]  # s(0, k) for k = 0..n
+    for m in range(1, n + 1):
+        row = [0] + [row[k - 1] - (m - 1) * row[k] for k in range(1, m)] + [1]
+    return tuple(row)
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind S(n, k): partitions of an
+    n-set into k nonempty blocks.  Row n is built iteratively by
+    S(m, k) = k S(m-1, k) + S(m-1, k-1) and cached."""
+    if n < 0 or k < 0 or k > n:
+        return 0
+    return _stirling2_row(n)[k]
+
+
 def stirling1(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k), via the
-    recurrence s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)."""
-    if n < 0 or k < 0:
+    """Signed Stirling number of the first kind s(n, k).  Row n is built
+    iteratively by s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k) and cached,
+    so a caller reading all of row n pays O(n**2) once."""
+    if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0 or k == 0:
-        return 1 if n == k else 0
-    if k > n:
-        return 0
-    return stirling1(n - 1, k - 1) - (n - 1) * stirling1(n - 1, k)
+    return _stirling1_row(n)[k]
 
 
 @lru_cache(maxsize=None)
@@ -377,38 +401,19 @@ def delta_p(p: int, k: int, l: int) -> NatInfinity:
 
 
 def delta_p_brute(p: int, k: int, l: int) -> NatInfinity:
-    """Shortest-chain oracle for :func:`delta_p`: breadth-first search on
-    the graph over {l, ..., k} with an edge a -> b whenever a > b and
-    :func:`ppp_enumerate` finds a partition of a into b powers of p."""
-    if l < 1:
-        raise ValueError("delta_p_brute requires l >= 1")
-    if k < l:
-        raise ValueError(f"delta_p_brute requires k >= l, got k={k} < l={l}")
-    _require_prime(p)
-    if k > PARTITION_BUDGET:
-        raise BudgetError(
-            f"delta_p_brute budget exceeded: k = {k} > {PARTITION_BUDGET}"
-        )
-    if k == l:
-        return 0
-    seen = {k}
-    frontier = deque([(k, 0)])
-    while frontier:
-        node, dist = frontier.popleft()
-        for nxt in range(l, node):
-            if nxt in seen or not _has_ppp_brute(p, node, nxt):
-                continue
-            if nxt == l:
-                return dist + 1
-            seen.add(nxt)
-            frontier.append((nxt, dist + 1))
-    return INF
+    """Shortest-chain oracle for :func:`delta_p`: the number of steps of
+    the chain :func:`shortest_ppp_chain` finds, or infinity when there
+    is none."""
+    chain = shortest_ppp_chain(p, k, l)
+    return INF if chain is None else len(chain) - 1
 
 
 def shortest_ppp_chain(p: int, k: int, l: int) -> list[int] | None:
     """One witnessing shortest chain k = c_0 > c_1 > ... > c_s = l of
-    p-power-partition steps, or None if no chain exists.  Companion to
-    :func:`delta_p_brute` for tests that need the actual chain."""
+    p-power-partition steps, or None if no chain exists: breadth-first
+    search on the graph over {l, ..., k} with an edge a -> b whenever
+    a > b and :func:`ppp_enumerate` finds a partition of a into b powers
+    of p.  Oracle for :func:`delta_p` through :func:`delta_p_brute`."""
     if k < l or l < 1:
         raise ValueError("shortest_ppp_chain requires k >= l >= 1")
     _require_prime(p)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .balmer import BalmerPrime
-from .combinat import INF, is_prime
+from .combinat import INF, check_window, is_prime
 
 __all__ = [
     "HZPrime",
@@ -67,10 +67,7 @@ def hz_base_change(a: HZPrime) -> BalmerPrime:
 def hz_points(d: int, primes: Iterable[int]) -> list[HZPrime]:
     """All points over the given residue characteristics plus 0, in the
     deterministic (layer, residue) order."""
-    prime_tuple = tuple(sorted(set(primes)))
-    for p in prime_tuple:
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
+    prime_tuple = check_window(d, primes)
     return [
         hz_prime(d, layer, residue)
         for layer in range(1, d + 1)

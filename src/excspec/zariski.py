@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsidePresentation, RingElement
-from .combinat import is_prime
+from .combinat import check_window, is_prime
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -92,15 +92,11 @@ def z_poset(d: int, primes: list[int]) -> Poset:
     """The spectrum restricted to char 0 and the given characteristics,
     as a poset of canonical points: minimal char-0 points at the bottom,
     one glued maximal point per residue class per prime."""
-    if not primes:
-        raise ValueError("prime set must be non-empty")
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
+    prime_tuple = check_window(d, primes)
     points = [zariski_prime(d, i, 0) for i in range(1, d + 1)]
     seen = set(points)
     for i in range(1, d + 1):
-        for p in sorted(primes):
+        for p in prime_tuple:
             point = zariski_prime(d, i, p)
             if point not in seen:
                 seen.add(point)

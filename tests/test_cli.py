@@ -41,6 +41,12 @@ class TestMu:
         assert "DISAGREE" in out
 
 
+    def test_stirling_deep_row_matches_incl_excl(self, run_cli):
+        code, out, err = run_cli(["mu", "30", "30", "600", "--method", "stirling"])
+        assert code == 0, err
+        assert out == run_cli(["mu", "30", "30", "600", "--method", "incl-excl"])[1]
+
+
 class TestRing:
     def test_table_contains_squaring_relation(self, run_cli):
         code, out, _ = run_cli(["ring", "3", "--table"])
@@ -172,6 +178,34 @@ class TestQueries:
         code, _, err = run_cli(["ideals", "2", "2", "1", "--count"])
         assert code == 2
         assert "budget" in err
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spec", "balmer", "-d", "0", "-p", "2"],
+            ["spec", "zariski", "-d", "0", "-p", "2"],
+            ["spec", "hz", "-d", "0", "-p", "2"],
+            ["spec", "hz", "-d", "3", "-p", "2", "--slice", "5"],
+            ["spec", "hz", "-d", "3", "-p", "2", "--slice", "4"],
+            ["spec", "balmer", "-d", "2", "-p", "2,4"],
+            ["ideals", "3", "4", "2", "--count"],
+            ["ideals", "0", "2", "2", "--count"],
+        ],
+    )
+    def test_out_of_scope_window_is_usage_error(self, run_cli, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_slice_zero_and_given_prime_accepted(self, run_cli):
+        for residue in ("0", "2"):
+            code, out, _ = run_cli(["spec", "hz", "-d", "3", "-p", "2,3", "--slice", residue])
+            assert code == 0
+            assert out.startswith("points: 3\n")
 
 
 class TestDeterminismAndValidity:

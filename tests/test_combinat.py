@@ -9,6 +9,7 @@ from excspec.combinat import (
     BudgetError,
     Partition,
     binomial,
+    check_window,
     delta_p,
     delta_p_brute,
     digit_sum,
@@ -57,6 +58,19 @@ class TestBasicCounts:
     def test_surjections_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             surjections(0, 3)
+
+
+    def test_stirling_rows_match_recurrence(self):
+        for n in range(1, 12):
+            for k in range(1, n + 1):
+                assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+                assert stirling1(n, k) == stirling1(n - 1, k - 1) - (n - 1) * stirling1(n - 1, k)
+
+    def test_check_window(self):
+        assert check_window(3, [5, 2, 5, 3]) == (2, 3, 5)
+        for d, primes in ((0, [2]), (-1, [2]), (2, []), (2, [2, 4]), (2, [1])):
+            with pytest.raises(ValueError):
+                check_window(d, primes)
 
 
 class TestMu:

@@ -138,7 +138,7 @@ class TestPoset:
 
     def test_rank_one_is_restricted_integer_spectrum(self):
         poset = z_poset(1, [2, 3, 5])
-        assert poset.nodes == (
+        assert poset.points == (
             ZariskiPrime(1, 0),
             ZariskiPrime(1, 2),
             ZariskiPrime(1, 3),

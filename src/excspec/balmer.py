@@ -6,9 +6,8 @@ so canonical points store char 0 there; at heights above 1 the char is a
 genuine prime.  Containment between points is decided by three numeric
 conditions: divisibility of the layer gap by p-1, a height gap of at
 least the blueshift distance delta_p, and char agreement above height 1.
-When a height-1 point appears as the source of a comparison its char is
-expanded existentially over the primes in scope, since the rational
-point is simultaneously p-primary for every p.
+The first two are one test, since delta_p is infinite exactly when p-1
+does not divide the gap.
 
 Truncations materialize the finitely many points with height at most
 Hmax (plus, optionally, the height-infinity points, which Thomason
@@ -77,30 +76,24 @@ def b_equal(a: BalmerPrime, b: BalmerPrime) -> bool:
     return a.height == 1 or a.char == b.char
 
 
-def _leq_conditions(k: int, p: int, hk: NatInfinity, b: BalmerPrime) -> bool:
-    if (k - b.layer) % (p - 1) != 0:
-        return False
-    if not hk >= b.height + delta_p(p, k, b.layer):
-        return False
-    if b.height != 1 and p != b.char:
-        return False
-    return True
-
-
-def b_leq(a: BalmerPrime, b: BalmerPrime, primes: frozenset | set | tuple) -> bool:
+def b_leq(a: BalmerPrime, b: BalmerPrime) -> bool:
     """Ideal containment a <= b.
 
     Writing a = (k, p, h') and b = (l, q, h): true iff p-1 | k-l >= 0,
     h' >= h + delta_p(k, l), and p = q whenever h > 1.  A height-1
-    source has no stored char, so the test is run for each prime in
-    scope and succeeds if any works.
+    source lies under no other point: 1 >= h + delta_p(k, l) forces
+    h = 1 and k = l, which is equality.
     """
     if b_equal(a, b):
         return True
-    if a.layer < b.layer:
+    if a.layer < b.layer or a.height == 1:
         return False
-    candidates = [a.char] if a.height != 1 else sorted(primes)
-    return any(_leq_conditions(a.layer, p, a.height, b) for p in candidates)
+    delta = delta_p(a.char, a.layer, b.layer)
+    return (
+        delta is not INF
+        and a.height >= b.height + delta
+        and (b.height == 1 or a.char == b.char)
+    )
 
 
 @dataclass(frozen=True)
@@ -140,11 +133,10 @@ def b_truncation(
     if hmax < 1:
         raise ValueError("hmax must be >= 1")
     prime_tuple = check_window(d, primes)
-    prime_set = frozenset(prime_tuple)
     points = tuple(_truncation_points(d, prime_tuple, hmax, include_infinity))
     return SpectrumTruncation(
         points=points,
-        relation=order_relation(points, lambda a, b: b_leq(a, b, prime_set)),
+        relation=order_relation(points, b_leq),
         d=d,
         primes=prime_tuple,
         hmax=hmax,
@@ -238,6 +230,7 @@ def smith_holds(
     height n and the layer-l derivative at height h: holds iff the
     (k, p, n+1) point is contained in the (l, p, h+1) point.  The
     equivalent dimension-inequality statement has the same answer."""
+    check_window(d, (p,))
     if not (1 <= k <= d and 1 <= l <= d):
         raise ValueError("layers out of range")
     for value in (n, h):
@@ -245,4 +238,4 @@ def smith_holds(
             raise ValueError("heights must be >= 0")
     a = balmer_prime(d, k, p, INF if n is INF else n + 1)
     b = balmer_prime(d, l, p, INF if h is INF else h + 1)
-    return b_leq(a, b, frozenset([p]))
+    return b_leq(a, b)

@@ -20,6 +20,7 @@ of the height-infinity point alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .balmer import BalmerPrime, SpectrumTruncation
 from .combinat import INF, BudgetError, NatInfinity, check_window, delta_p
@@ -90,18 +91,28 @@ class ThomasonSubset:
         return len(self.points)
 
 
+@lru_cache(maxsize=None)
+def _coupling_table(p: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry k-1 lists the pairs (l, delta_p(k, l)) with l < k and delta
+    finite: the earlier layers whose thresholds bound layer k's."""
+    table = []
+    for k in range(1, d + 1):
+        deltas = ((l, delta_p(p, k, l)) for l in range(1, k))
+        table.append(tuple((l, delta) for l, delta in deltas if delta is not INF))
+    return tuple(table)
+
+
 def is_p_admissible(values, p: int, d: int) -> bool:
     """Whether f(k) <= delta_p(k, l) + f(l) for every pair with
     p-1 | k-l >= 0.  This inequality *is* the classification condition;
-    every other admissibility check routes through here."""
+    every other admissibility check routes through here or through the
+    same coupling table."""
     values = tuple(values)
     if len(values) != d:
         raise ValueError("values length must equal d")
-    for k in range(2, d + 1):
-        for l in range(1, k):
-            if (k - l) % (p - 1) != 0:
-                continue
-            if not values[k - 1] <= delta_p(p, k, l) + values[l - 1]:
+    for v, pairs in zip(values, _coupling_table(p, d)):
+        for l, delta in pairs:
+            if not v <= delta + values[l - 1]:
                 return False
     return True
 
@@ -213,9 +224,9 @@ def enumerate_p_admissible(
     """Count (and optionally list) the threshold vectors over the value
     set {0, ..., hmax, inf} satisfying the per-prime inequality.
 
-    Enumerates recursively, checking each new layer against all earlier
-    ones; since the inequality always bounds the larger layer, pruning
-    is exact.
+    Enumerates recursively, checking each new layer against the earlier
+    ones its coupling-table entry names; since the inequality always
+    bounds the larger layer, pruning is exact.
     """
     check_window(d, (p,))
     if hmax < 0:
@@ -225,31 +236,24 @@ def enumerate_p_admissible(
             f"enumeration budget exceeded: ({hmax + 2})**{d} > {budget}"
         )
     domain: tuple[NatInfinity, ...] = tuple(range(hmax + 1)) + (INF,)
-    deltas = {
-        (k, l): delta_p(p, k, l)
-        for k in range(2, d + 1)
-        for l in range(1, k)
-        if (k - l) % (p - 1) == 0
-    }
+    table = _coupling_table(p, d)
     found: list[tuple[NatInfinity, ...]] = []
     count = 0
 
     def extend(prefix: list[NatInfinity]) -> None:
         nonlocal count
-        k = len(prefix) + 1
-        if k > d:
+        k = len(prefix)
+        if k == d:
             count += 1
             if with_list:
                 found.append(tuple(prefix))
             return
+        pairs = table[k]
         for v in domain:
-            ok = True
-            for l in range(1, k):
-                bound = deltas.get((k, l))
-                if bound is not None and not v <= bound + prefix[l - 1]:
-                    ok = False
+            for l, delta in pairs:
+                if not v <= delta + prefix[l - 1]:
                     break
-            if ok:
+            else:
                 prefix.append(v)
                 extend(prefix)
                 prefix.pop()

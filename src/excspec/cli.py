@@ -97,9 +97,15 @@ def cmd_mu(args) -> int:
         "stirling": combinat.mu_stirling,
     }
     if args.all:
-        values = {name: fn(args.i, args.j, args.k) for name, fn in methods.items()}
-        for name in sorted(values):
-            print(f"{name}: {values[name]}")
+        values = {}
+        for name, fn in methods.items():
+            try:
+                values[name] = fn(args.i, args.j, args.k)
+            except BudgetError:
+                if name != "brute":
+                    raise
+        for name in sorted(methods):
+            print(f"{name}: {values.get(name, 'skipped (budget)')}")
         if len(set(values.values())) == 1:
             print("AGREE")
             return 0
@@ -274,21 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ring.set_defaults(fn=cmd_ring, format="text")
 
-    p_spec = sub.add_parser("spec", help="spectrum posets")
-    p_spec.add_argument("variant", choices=("zariski", "balmer", "hz"))
-    p_spec.add_argument("-d", type=int, required=True)
-    p_spec.add_argument("-p", "--primes", required=True, help="e.g. 2,3,5")
-    p_spec.add_argument("-H", "--hmax", type=int, default=2)
-    p_spec.add_argument(
-        "--no-inf", action="store_true", help="omit height-infinity points"
-    )
-    p_spec.add_argument(
-        "--slice",
-        type=int,
-        default=None,
-        help="hz only: restrict to one residue characteristic",
-    )
-    fmt = p_spec.add_mutually_exclusive_group()
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("-d", type=int, required=True)
+    window.add_argument("-p", "--primes", required=True, help="e.g. 2,3,5")
+    fmt = window.add_mutually_exclusive_group()
     fmt.add_argument(
         "--dot", dest="format", action="store_const", const="dot"
     )
@@ -298,7 +293,27 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument(
         "--text", dest="format", action="store_const", const="text"
     )
-    p_spec.set_defaults(fn=cmd_spec, format="text")
+    window.set_defaults(fn=cmd_spec, format="text")
+
+    p_spec = sub.add_parser("spec", help="spectrum posets")
+    variants = p_spec.add_subparsers(dest="variant", required=True)
+    variants.add_parser("zariski", parents=[window], help="prime-ideal spectrum")
+    p_balmer = variants.add_parser(
+        "balmer", parents=[window], help="truncated tensor-triangular spectrum"
+    )
+    p_balmer.add_argument("-H", "--hmax", type=int, default=2)
+    p_balmer.add_argument(
+        "--no-inf", action="store_true", help="omit height-infinity points"
+    )
+    p_hz = variants.add_parser(
+        "hz", parents=[window], help="integral-coefficient spectrum"
+    )
+    p_hz.add_argument(
+        "--slice",
+        type=int,
+        default=None,
+        help="restrict to one residue characteristic",
+    )
 
     p_delta = sub.add_parser("delta", help="blueshift distance delta_p(k, l)")
     p_delta.add_argument("p", type=int)

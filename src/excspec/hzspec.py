@@ -83,7 +83,7 @@ def hz_admissible_subset(
     p-1 | k-l >= 0, and membership of (l, p) forces the same for its own
     prime.  Equivalent to specialization-closure in the containment
     order."""
-    prime_tuple = tuple(sorted(set(primes)))
+    prime_tuple = check_window(d, primes)
     members = {(k, r) for (k, r) in Y}
     for k, r in members:
         if not 1 <= k <= d or (r != 0 and r not in prime_tuple):

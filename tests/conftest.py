@@ -8,20 +8,20 @@ import pytest
 from excspec import cli
 
 
+def invoke_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Invoke the CLI in-process, returning (exit_code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code if isinstance(exc.code, int) else 2
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture
 def run_cli():
-    """Invoke the CLI in-process, returning (exit_code, stdout, stderr)."""
-
-    def run(argv: list[str]) -> tuple[int, str, str]:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code if isinstance(exc.code, int) else 2
-        return code, out.getvalue(), err.getvalue()
-
-    return run
+    return invoke_cli
 
 
 def tokenize_dot(text: str) -> list[str]:

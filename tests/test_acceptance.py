@@ -222,7 +222,6 @@ def test_criterion_11_integral_coefficients():
                 assert hz_leq(a, c)
 
         primes = [2, 3, 5]
-        scope = frozenset(primes)
         embedded = hz_points(4, primes)
         trunc = b_truncation(4, primes, 2, include_infinity=True)
         images = [hz_base_change(a) for a in embedded]
@@ -232,9 +231,7 @@ def test_criterion_11_integral_coefficients():
         from excspec.balmer import b_leq
 
         for a, b in itertools.product(embedded, repeat=2):
-            assert hz_leq(a, b) == b_leq(
-                hz_base_change(a), hz_base_change(b), scope
-            )
+            assert hz_leq(a, b) == b_leq(hz_base_change(a), hz_base_change(b))
 
         d, primes2 = 4, [2, 3]
         pts2 = hz_points(d, primes2)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from excspec.balmer import (
+    BalmerPrime,
     b_equal,
     b_leq,
     b_truncation,
@@ -16,9 +17,6 @@ from excspec.balmer import (
 )
 from excspec.combinat import INF, shortest_ppp_chain
 from excspec.zariski import ZariskiPrime, z_leq
-
-P2 = frozenset([2])
-P23 = frozenset([2, 3])
 
 
 class TestPoints:
@@ -43,18 +41,18 @@ class TestPoints:
 class TestOrder:
     def test_one_step_blueshift(self):
         for h in (1, 2, 5):
-            assert b_leq(balmer_prime(4, 4, 2, h + 1), balmer_prime(4, 2, 2, h), P2)
+            assert b_leq(balmer_prime(4, 4, 2, h + 1), balmer_prime(4, 2, 2, h))
 
     def test_two_step_blueshift(self):
         for h in (1, 2, 4):
-            assert b_leq(balmer_prime(3, 3, 2, h + 2), balmer_prime(3, 1, 2, h), P2)
-            assert not b_leq(balmer_prime(3, 3, 2, h + 1), balmer_prime(3, 1, 2, h), P2)
+            assert b_leq(balmer_prime(3, 3, 2, h + 2), balmer_prime(3, 1, 2, h))
+            assert not b_leq(balmer_prime(3, 3, 2, h + 1), balmer_prime(3, 1, 2, h))
 
     def test_infinity_target_needs_infinity_source(self):
         target = balmer_prime(3, 3, 2, INF)
         for n in (1, 2, 9):
-            assert not b_leq(balmer_prime(3, 3, 2, n), target, P2)
-        assert b_leq(balmer_prime(3, 3, 2, INF), target, P2)
+            assert not b_leq(balmer_prime(3, 3, 2, n), target)
+        assert b_leq(balmer_prime(3, 3, 2, INF), target)
 
     def test_vertical_slice_matches_chromatic_order(self):
         # fixed layer: containment iff the height drops and, above
@@ -68,19 +66,32 @@ class TestOrder:
                     expected = hb == 1
                 else:
                     expected = ha >= hb and (hb == 1 or q == p)
-                assert b_leq(a, b, P23) == expected, (a, b)
+                assert b_leq(a, b) == expected, (a, b)
 
     def test_partial_order_small(self):
         trunc = b_truncation(3, [2, 3], 3, True)
         pts = trunc.points
         for a in pts:
-            assert b_leq(a, a, P23)
+            assert b_leq(a, a)
         for a, b in itertools.product(pts, repeat=2):
-            if b_leq(a, b, P23) and b_leq(b, a, P23):
+            if b_leq(a, b) and b_leq(b, a):
                 assert a == b
         for a, b, c in itertools.product(pts, repeat=3):
-            if b_leq(a, b, P23) and b_leq(b, c, P23):
-                assert b_leq(a, c, P23)
+            if b_leq(a, b) and b_leq(b, c):
+                assert b_leq(a, c)
+
+    def test_height_one_point_lies_under_no_other_point(self):
+        # 1 >= h + delta_p(k, l) forces h = 1 and k = l, so no prime
+        # choice for the rational point's char can make it a source
+        trunc = b_truncation(5, [2, 3, 5], 3, True)
+        rational = [a for a in trunc.points if a.height == 1]
+        assert len(rational) == 5
+        for a in rational:
+            for b in trunc.points:
+                assert trunc.leq(a, b) == (a == b), (a, b)
+                for p in (0, 2, 3, 5):
+                    source = BalmerPrime(a.layer, p, 1)
+                    assert b_leq(source, b) == (a == b), (source, b)
 
     def test_monotonicity(self):
         trunc = b_truncation(4, [2, 3], 4, True)

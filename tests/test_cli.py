@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import dot_nodes_and_edges, tokenize_dot
+from conftest import dot_nodes_and_edges, invoke_cli, tokenize_dot
 
 from excspec import combinat
 
@@ -40,6 +42,17 @@ class TestMu:
         assert code == 1
         assert "DISAGREE" in out
 
+    def test_all_past_brute_budget_compares_formulas(self, run_cli):
+        code, out, err = run_cli(["mu", "5", "5", "7", "--all"])
+        assert code == 0, err
+        assert out == "brute: skipped (budget)\nincl-excl: 43000\nstirling: 43000\nAGREE\n"
+
+    def test_all_past_brute_budget_disagreement(self, run_cli, monkeypatch):
+        monkeypatch.setattr(combinat, "mu_stirling", lambda i, j, k: -1)
+        code, out, _ = run_cli(["mu", "5", "5", "7", "--all"])
+        assert code == 1
+        assert out.startswith("brute: skipped (budget)\n")
+        assert out.endswith("DISAGREE\n")
 
     def test_stirling_deep_row_matches_incl_excl(self, run_cli):
         code, out, err = run_cli(["mu", "30", "30", "600", "--method", "stirling"])
@@ -192,6 +205,8 @@ class TestInputValidation:
             ["spec", "balmer", "-d", "2", "-p", "2,4"],
             ["ideals", "3", "4", "2", "--count"],
             ["ideals", "0", "2", "2", "--count"],
+            ["smith", "3", "1", "2", "1", "0", "0"],
+            ["smith", "3", "4", "1", "1", "0", "0"],
         ],
     )
     def test_out_of_scope_window_is_usage_error(self, run_cli, argv):
@@ -199,6 +214,24 @@ class TestInputValidation:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spec", "balmer", "-d", "3", "-p", "2", "--slice", "2"],
+            ["spec", "zariski", "-d", "3", "-p", "2", "--slice", "2"],
+            ["spec", "zariski", "-d", "3", "-p", "2", "-H", "3"],
+            ["spec", "zariski", "-d", "3", "-p", "2", "--no-inf"],
+            ["spec", "hz", "-d", "3", "-p", "2", "-H", "3"],
+            ["spec", "hz", "-d", "3", "-p", "2", "--no-inf"],
+        ],
+    )
+    def test_spec_flag_of_another_variant_is_usage_error(self, run_cli, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
         assert "Traceback" not in err
 
     def test_slice_zero_and_given_prime_accepted(self, run_cli):
@@ -255,3 +288,90 @@ class TestDeterminismAndValidity:
             tokenize_dot("graph { }")
         with pytest.raises(ValueError):
             tokenize_dot("digraph x {\n  missing-semicolon\n}")
+
+
+# Small values, about half of them in range and the rest on the far side
+# of a validity boundary: out-of-range windows, non-primes, negative
+# layers and heights.
+PRIMES = st.one_of(st.sampled_from(["2", "3", "5"]), st.sampled_from(["1", "0", "4", "-1"]))
+SMALL = st.one_of(st.integers(1, 5), st.integers(-1, 5)).map(str)
+LAYER_40 = st.one_of(st.integers(1, 40), st.integers(-1, 40)).map(str)
+HEIGHT = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["inf", "-1"]))
+
+
+def _argv(*parts):
+    """Concatenate strategies of token lists into one argv strategy."""
+    return st.tuples(*parts).map(lambda lists: [tok for part in lists for tok in part])
+
+
+def _one(tokens):
+    return st.lists(tokens, min_size=1, max_size=1)
+
+
+def _options(*choices):
+    """Up to two option groups, each drawn from `choices`."""
+    return st.lists(st.one_of(*choices), max_size=2).map(
+        lambda groups: [tok for group in groups for tok in group]
+    )
+
+
+ARGV = st.one_of(
+    _argv(
+        st.just(["mu"]),
+        st.lists(st.integers(-1, 6).map(str), min_size=2, max_size=2),
+        _one(LAYER_40),
+        _options(
+            st.just(["--all"]),
+            st.sampled_from(["brute", "stirling"]).map(lambda m: ["--method", m]),
+        ),
+    ),
+    _argv(
+        st.just(["ring"]),
+        _one(st.integers(-1, 5).map(str)),
+        st.sampled_from([["--table"], ["--check"], ["--cokernel"], []]),
+        _options(st.just(["--json"]), st.just(["--trials", "3"]), st.just(["--seed", "1"])),
+    ),
+    _argv(
+        st.sampled_from([["spec", v] for v in ("zariski", "balmer", "hz")]),
+        _one(SMALL).map(lambda d: ["-d", *d]),
+        st.lists(PRIMES, min_size=1, max_size=3).map(lambda ps: ["-p", ",".join(ps)]),
+        _options(
+            HEIGHT.map(lambda h: ["-H", h]),
+            st.just(["--no-inf"]),
+            PRIMES.map(lambda r: ["--slice", r]),
+        ),
+        _options(st.sampled_from([["--dot"], ["--json"], ["--text"]])),
+    ),
+    _argv(
+        st.just(["delta"]),
+        _one(PRIMES),
+        st.lists(LAYER_40, min_size=2, max_size=2),
+    ),
+    _argv(
+        st.just(["smith"]),
+        _one(SMALL),
+        _one(PRIMES),
+        st.lists(SMALL, min_size=2, max_size=2),
+        st.lists(HEIGHT, min_size=2, max_size=2),
+    ),
+    _argv(
+        st.just(["ideals"]),
+        _one(SMALL),
+        _one(PRIMES),
+        _one(st.integers(-1, 3).map(str)),
+        st.sampled_from([["--count"], ["--list"]]),
+        _options(st.sampled_from([["--json"], ["--csv"]])),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ARGV)
+@example(["smith", "3", "1", "2", "1", "0", "0"])
+def test_exit_code_contract(argv):
+    """Every argv exits 0, 1 or 2 without a traceback (any exception but
+    SystemExit propagates out of invoke_cli), with repeatable stdout."""
+    code, out, err = invoke_cli(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    assert invoke_cli(argv)[:2] == (code, out)

@@ -62,9 +62,8 @@ class TestBaseChange:
         pts = hz_points(3, primes)
         images = [hz_base_change(a) for a in pts]
         assert len(set(images)) == len(pts)
-        scope = frozenset(primes)
         for a, b in itertools.product(pts, repeat=2):
-            assert hz_leq(a, b) == b_leq(hz_base_change(a), hz_base_change(b), scope)
+            assert hz_leq(a, b) == b_leq(hz_base_change(a), hz_base_change(b))
 
     def test_image_lands_in_truncation(self):
         trunc = b_truncation(3, [2, 3, 5], 2, include_infinity=True)
@@ -115,3 +114,6 @@ class TestAdmissibleSubsets:
             hz_admissible_subset([(9, 2)], 3, [2])
         with pytest.raises(ValueError):
             hz_admissible_subset([(1, 7)], 3, [2])
+        for d, primes in ((3, [4]), (3, [1]), (0, [2]), (3, [])):
+            with pytest.raises(ValueError):
+                hz_admissible_subset([], d, primes)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import INF, NatInfinity, check_window, delta_p, is_prime, ppp_exists
+from .combinat import INF, BudgetError, NatInfinity, check_window, delta_p, is_prime
 from .poset import Poset, order_relation
 from .zariski import ZariskiPrime, canonical_layer
 
@@ -36,8 +36,9 @@ __all__ = [
     "generator_support",
     "open_embedding_check",
     "smith_holds",
-    "height_sort_key",
 ]
+
+TRUNCATION_BUDGET = 1200  # most points a truncation materializes (quadratic sweep)
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,6 @@ class BalmerPrime:
     layer: int
     char: int
     height: NatInfinity
-
-
-def height_sort_key(h: NatInfinity) -> tuple[int, int]:
-    return (1, 0) if h is INF else (0, h)
 
 
 def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPrime:
@@ -111,6 +108,7 @@ class SpectrumTruncation(Poset):
 def _truncation_points(
     d: int, primes: tuple[int, ...], hmax: int, include_infinity: bool
 ) -> list[BalmerPrime]:
+    """The points in (layer, char, height) order, given sorted primes."""
     points = []
     for layer in range(1, d + 1):
         points.append(BalmerPrime(layer, 0, 1))
@@ -119,7 +117,6 @@ def _truncation_points(
                 points.append(BalmerPrime(layer, p, h))
             if include_infinity:
                 points.append(BalmerPrime(layer, p, INF))
-    points.sort(key=lambda q: (q.layer, q.char, height_sort_key(q.height)))
     return points
 
 
@@ -133,6 +130,11 @@ def b_truncation(
     if hmax < 1:
         raise ValueError("hmax must be >= 1")
     prime_tuple = check_window(d, primes)
+    n_points = d * (1 + len(prime_tuple) * (hmax - 1 + include_infinity))
+    if n_points > TRUNCATION_BUDGET:
+        raise BudgetError(
+            f"b_truncation budget exceeded: {n_points} points > {TRUNCATION_BUDGET}"
+        )
     points = tuple(_truncation_points(d, prime_tuple, hmax, include_infinity))
     return SpectrumTruncation(
         points=points,
@@ -162,9 +164,7 @@ def tate_blueshift(p: int, k: int, l: int, h: int) -> NatInfinity:
         raise ValueError("tate_blueshift requires k >= l >= 1")
     if h is INF or h < 1:
         raise ValueError("tate_blueshift requires finite h >= 1")
-    if k > l and ppp_exists(p, k, l):
-        return 1
-    return h
+    return 1 if delta_p(p, k, l) == 1 else h
 
 
 def geometric_blueshift(p: int, k: int, l: int) -> NatInfinity:
@@ -172,11 +172,12 @@ def geometric_blueshift(p: int, k: int, l: int) -> NatInfinity:
     points; independent of the ambient height.  Requires p-1 | k-l >= 0."""
     if k < l or l < 1:
         raise ValueError("geometric_blueshift requires k >= l >= 1")
-    if (k - l) % (p - 1) != 0:
+    delta = delta_p(p, k, l)
+    if delta is INF:
         raise ValueError(
             f"geometric_blueshift requires p-1 | k-l, got p={p}, k-l={k - l}"
         )
-    return delta_p(p, k, l)
+    return delta
 
 
 def generator_support(trunc: SpectrumTruncation, k: int) -> frozenset:

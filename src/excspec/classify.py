@@ -95,6 +95,7 @@ class ThomasonSubset:
 def _coupling_table(p: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Entry k-1 lists the pairs (l, delta_p(k, l)) with l < k and delta
     finite: the earlier layers whose thresholds bound layer k's."""
+    check_window(d, (p,))
     table = []
     for k in range(1, d + 1):
         deltas = ((l, delta_p(p, k, l)) for l in range(1, k))
@@ -226,7 +227,8 @@ def enumerate_p_admissible(
 
     Enumerates recursively, checking each new layer against the earlier
     ones its coupling-table entry names; since the inequality always
-    bounds the larger layer, pruning is exact.
+    bounds the larger layer, pruning is exact.  The list is ascending
+    (lexicographic, inf last).
     """
     check_window(d, (p,))
     if hmax < 0:

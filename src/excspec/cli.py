@@ -43,7 +43,7 @@ def poset_to_dot(poset: Poset, label, graph_name: str) -> str:
     lines.append("  node [shape=box];")
     for node in poset.points:
         lines.append(f'  "{label(node)}";')
-    for a, b in sorted(poset.covers):
+    for a, b in poset.covers:
         lines.append(f'  "{label(poset.points[a])}" -> "{label(poset.points[b])}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -52,7 +52,7 @@ def poset_to_dot(poset: Poset, label, graph_name: str) -> str:
 def poset_to_json(poset: Poset, point_dict) -> str:
     payload = {
         "points": [point_dict(node) for node in poset.points],
-        "covers": [list(pair) for pair in sorted(poset.covers)],
+        "covers": [list(pair) for pair in poset.covers],
         "relation": [list(pair) for pair in sorted(poset.relation)],
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
@@ -64,19 +64,16 @@ def poset_to_text(poset: Poset, label) -> str:
     lines.append(f"covers: {len(poset.covers)}")
     lines.extend(
         f"  {label(poset.points[a])} <= {label(poset.points[b])}"
-        for a, b in sorted(poset.covers)
+        for a, b in poset.covers
     )
     return "\n".join(lines) + "\n"
 
 
 def _parse_primes(text: str) -> list[int]:
     try:
-        primes = [int(tok) for tok in text.split(",") if tok]
+        return [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise BudgetError(f"bad prime list: {text!r}") from exc
-    if not primes:
-        raise BudgetError("prime list is empty")
-    return primes
+        raise ValueError(f"bad prime list: {text!r}") from exc
 
 
 def _parse_natinf(text: str):
@@ -226,9 +223,7 @@ def cmd_ideals(args) -> int:
         args.d, args.p, args.hmax, with_list=args.list, budget=budget
     )
     if args.list:
-        rows = [[_height_str(v) for v in f] for f in sorted(
-            functions, key=lambda f: tuple(balmer.height_sort_key(v) for v in f)
-        )]
+        rows = [[_height_str(v) for v in f] for f in functions]
         if args.format == "json":
             print(json.dumps(rows, separators=(",", ":")))
         else:
@@ -354,10 +349,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

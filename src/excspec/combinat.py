@@ -103,9 +103,11 @@ INF = _Infinity()
 NatInfinity = Union[int, _Infinity]
 
 
+@lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
     """Trial-division primality check, adequate for the small primes used
-    as residue characteristics."""
+    as residue characteristics.  Cached, since every blueshift distance
+    re-checks its prime."""
     if p < 2:
         return False
     if p < 4:
@@ -334,11 +336,12 @@ def digit_sum(k: int, p: int) -> int:
 
 def ppp_exists(p: int, k: int, l: int) -> bool:
     """Whether k can be written as a sum of exactly l powers of p
-    (p**0 = 1 allowed): true iff p-1 divides k-l >= 0 and l >= s_p(k)."""
+    (p**0 = 1 allowed): true iff p-1 divides k-l >= 0 and l >= s_p(k),
+    that is, iff k >= l and delta_p(k, l) <= 1."""
     if k < 1 or l < 1:
         raise ValueError("ppp_exists requires k, l >= 1")
     _require_prime(p)
-    return k - l >= 0 and (k - l) % (p - 1) == 0 and l >= digit_sum(k, p)
+    return k >= l and delta_p(p, k, l) <= 1
 
 
 def ppp_enumerate(p: int, k: int, l: int) -> list[Partition]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .balmer import BalmerPrime
-from .combinat import INF, check_window, is_prime
+from .combinat import INF, check_window, delta_p, is_prime
 
 __all__ = [
     "HZPrime",
@@ -51,8 +51,7 @@ def hz_leq(a: HZPrime, b: HZPrime) -> bool:
         return b.residue == 0 and a.layer == b.layer
     if b.residue not in (0, a.residue):
         return False
-    gap = a.layer - b.layer
-    return gap >= 0 and gap % (a.residue - 1) == 0
+    return a.layer >= b.layer and delta_p(a.residue, a.layer, b.layer) is not INF
 
 
 def hz_base_change(a: HZPrime) -> BalmerPrime:
@@ -92,6 +91,6 @@ def hz_admissible_subset(
         scope = prime_tuple if r == 0 else (r,)
         for p in scope:
             for k in range(l, d + 1):
-                if (k - l) % (p - 1) == 0 and (k, p) not in members:
+                if delta_p(p, k, l) is not INF and (k, p) not in members:
                     return False
     return True

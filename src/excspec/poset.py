@@ -62,8 +62,8 @@ class Poset:
 
 
 def transitive_reduction(n: int, relation: frozenset) -> tuple:
-    """Cover pairs of a strict order given as index pairs: (a, b) is a
-    cover iff a < b with no c strictly between."""
+    """Cover pairs of a strict order given as index pairs, ascending:
+    (a, b) is a cover iff a < b with no c strictly between."""
     covers = []
     for a, b in sorted(relation):
         if any(

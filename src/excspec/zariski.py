@@ -57,22 +57,16 @@ def z_equal(a: ZariskiPrime, b: ZariskiPrime) -> bool:
     at char 0 and equal modulo char-1 at positive char."""
     if a.char != b.char:
         return False
-    if a.char == 0:
-        return a.layer == b.layer
-    return (a.layer - b.layer) % (a.char - 1) == 0
+    return canonical_layer(a.layer, a.char) == canonical_layer(b.layer, b.char)
 
 
 def z_leq(a: ZariskiPrime, b: ZariskiPrime) -> bool:
     """Ideal containment a <= b.  The order has height one: a minimal
     char-0 point lies under a closed char-p point exactly when their
     layers glue at p."""
-    if z_equal(a, b):
-        return True
-    if a.char == 0 and b.char > 0:
-        return z_equal(
-            ZariskiPrime(canonical_layer(a.layer, b.char), b.char), b
-        )
-    return False
+    return z_equal(a, b) or (
+        a.char == 0 < b.char and z_equal(ZariskiPrime(a.layer, b.char), b)
+    )
 
 
 def z_membership(
@@ -93,13 +87,7 @@ def z_poset(d: int, primes: list[int]) -> Poset:
     as a poset of canonical points: minimal char-0 points at the bottom,
     one glued maximal point per residue class per prime."""
     prime_tuple = check_window(d, primes)
-    points = [zariski_prime(d, i, 0) for i in range(1, d + 1)]
-    seen = set(points)
-    for i in range(1, d + 1):
-        for p in prime_tuple:
-            point = zariski_prime(d, i, p)
-            if point not in seen:
-                seen.add(point)
-                points.append(point)
-    points.sort(key=lambda q: (q.layer, q.char))
+    points = sorted(
+        {zariski_prime(d, i, c) for i in range(1, d + 1) for c in (0,) + prime_tuple}
+    )
     return build_poset(points, z_leq)

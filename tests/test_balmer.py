@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from excspec import balmer
 from excspec.balmer import (
     BalmerPrime,
     b_equal,
@@ -15,7 +16,7 @@ from excspec.balmer import (
     smith_holds,
     tate_blueshift,
 )
-from excspec.combinat import INF, shortest_ppp_chain
+from excspec.combinat import INF, BudgetError, shortest_ppp_chain
 from excspec.zariski import ZariskiPrime, z_leq
 
 
@@ -111,6 +112,26 @@ class TestTruncation:
             trunc = b_truncation(d, primes, hmax, inf)
             expected = d * (1 + len(primes) * (hmax - 1) + len(primes) * int(inf))
             assert len(trunc.points) == expected
+
+    def test_points_and_covers_come_in_order(self):
+        for d, primes, hmax, inf in [
+            (3, [5, 2, 3, 2], 3, True),
+            (4, [3, 2], 1, True),
+            (2, [7, 2], 4, False),
+        ]:
+            trunc = b_truncation(d, primes, hmax, inf)
+            keys = [(q.layer, q.char, q.height) for q in trunc.points]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(a < b for a, b in zip(trunc.covers, trunc.covers[1:]))
+
+    def test_budget_bounds_the_computed_point_count(self, monkeypatch):
+        for d, primes, hmax, inf in [(2, [2], 2, True), (3, [2, 5], 3, False)]:
+            n_points = d * (1 + len(primes) * (hmax - 1 + inf))
+            monkeypatch.setattr(balmer, "TRUNCATION_BUDGET", n_points)
+            assert len(b_truncation(d, primes, hmax, inf).points) == n_points
+            monkeypatch.setattr(balmer, "TRUNCATION_BUDGET", n_points - 1)
+            with pytest.raises(BudgetError):
+                b_truncation(d, primes, hmax, inf)
 
     def test_rank_one_is_a_chain(self):
         trunc = b_truncation(1, [2], 3, True)

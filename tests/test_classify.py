@@ -51,6 +51,11 @@ class TestPAdmissible:
         assert not is_p_admissible((0, 2), 2, 2)
         assert is_p_admissible((0, 1), 2, 2)
 
+    def test_rejects_bad_window(self):
+        for values, p, d in [((5,), 4, 1), ((), 2, 0), ((0, 0), 1, 2)]:
+            with pytest.raises(ValueError):
+                is_p_admissible(values, p, d)
+
     def test_matches_brute_filter(self):
         for d, p, hmax in [(2, 2, 2), (3, 2, 1), (3, 3, 2)]:
             brute = set(brute_enumerate(d, p, hmax))
@@ -241,6 +246,12 @@ class TestEnumeration:
         count, listed = enumerate_p_admissible(3, 2, 2, with_list=True)
         assert count == len(listed)
         assert len(set(listed)) == count
+
+    def test_list_is_ascending_with_inf_last(self):
+        for d, p, hmax in [(3, 2, 2), (4, 3, 1), (2, 5, 3)]:
+            _, listed = enumerate_p_admissible(d, p, hmax, with_list=True)
+            assert all(a < b for a, b in zip(listed, listed[1:]))
+            assert listed[-1] == (INF,) * d
 
 
 class TestUnionClosure:

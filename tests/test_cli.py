@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -207,6 +208,8 @@ class TestInputValidation:
             ["ideals", "0", "2", "2", "--count"],
             ["smith", "3", "1", "2", "1", "0", "0"],
             ["smith", "3", "4", "1", "1", "0", "0"],
+            ["spec", "balmer", "-d", "2", "-p", "2,x"],
+            ["spec", "zariski", "-d", "2", "-p", ","],
         ],
     )
     def test_out_of_scope_window_is_usage_error(self, run_cli, argv):
@@ -233,6 +236,16 @@ class TestInputValidation:
         assert out == ""
         assert "error:" in err
         assert "Traceback" not in err
+
+    def test_truncation_past_budget_is_refused_quickly(self, run_cli):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["spec", "balmer", "-d", "40", "-p", "2,3,5,7,11,13", "-H", "10"]
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
 
     def test_slice_zero_and_given_prime_accepted(self, run_cli):
         for residue in ("0", "2"):
@@ -368,6 +381,7 @@ ARGV = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(ARGV)
 @example(["smith", "3", "1", "2", "1", "0", "0"])
+@example(["spec", "balmer", "-d", "40", "-p", "2,3,5,7,11,13", "-H", "10"])
 def test_exit_code_contract(argv):
     """Every argv exits 0, 1 or 2 without a traceback (any exception but
     SystemExit propagates out of invoke_cli), with repeatable stdout."""

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excspec.balmer import geometric_blueshift, smith_holds, tate_blueshift
+from excspec.classify import is_p_admissible
 from excspec.combinat import (
     INF,
     BudgetError,
@@ -23,6 +25,7 @@ from excspec.combinat import (
     stirling2,
     surjections,
 )
+from excspec.hzspec import HZPrime, hz_admissible_subset, hz_leq
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -296,3 +299,34 @@ class TestInfinity:
 
     def test_hashable_singleton(self):
         assert len({INF, INF + 1, 4 + INF}) == 1
+
+
+NOT_PRIMES = (-1, 0, 1, 4)
+PRIME_TAKERS = {
+    "delta_p": lambda p: delta_p(p, 3, 1),
+    "ppp_exists": lambda p: ppp_exists(p, 3, 1),
+    "geometric_blueshift": lambda p: geometric_blueshift(p, 3, 1),
+    "tate_blueshift": lambda p: tate_blueshift(p, 3, 1, 2),
+    "tate_blueshift_k_eq_l": lambda p: tate_blueshift(p, 2, 2, 3),
+    "is_p_admissible_d1": lambda p: is_p_admissible((0,), p, 1),
+    "is_p_admissible_d2": lambda p: is_p_admissible((0, 1), p, 2),
+    "hz_leq": lambda p: hz_leq(HZPrime(3, p), HZPrime(1, 0)),
+    "smith_holds": lambda p: smith_holds(3, p, 2, 1, 0, 0),
+    "hz_admissible_subset": lambda p: hz_admissible_subset([], 3, [p]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [
+        (name, p)
+        for name in PRIME_TAKERS
+        for p in NOT_PRIMES
+        if not (name == "hz_leq" and p == 0)  # residue 0 is the generic fibre
+    ],
+)
+def test_non_prime_p_is_rejected(name, p):
+    """Every entry point taking a prime checks it as delta_p does, before
+    any layer arithmetic mod p-1 (which divides by zero at p = 1)."""
+    with pytest.raises(ValueError):
+        PRIME_TAKERS[name](p)

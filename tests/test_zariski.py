@@ -147,6 +147,12 @@ class TestPoset:
         assert len(poset.covers) == 3
         assert poset.minimal() == [ZariskiPrime(1, 0)]
 
+    def test_points_and_covers_ascending(self):
+        for d, primes in [(6, [5, 3, 2]), (4, [7, 2, 2]), (3, [13])]:
+            poset = z_poset(d, primes)
+            assert list(poset.points) == all_points(d, primes)
+            assert all(a < b for a, b in zip(poset.covers, poset.covers[1:]))
+
     def test_rejects_empty_or_composite(self):
         with pytest.raises(ValueError):
             z_poset(3, [])

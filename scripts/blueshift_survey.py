@@ -10,7 +10,7 @@ partitions the (k, l) plane.
 import argparse
 
 from excspec.classify import enumerate_p_admissible
-from excspec.combinat import INF, delta_p
+from excspec.combinat import check_window, delta_p
 
 
 def main() -> int:
@@ -20,14 +20,18 @@ def main() -> int:
     parser.add_argument("--dmax", type=int, default=5)
     parser.add_argument("--hmax", type=int, default=3)
     args = parser.parse_args()
-    primes = [int(tok) for tok in args.primes.split(",") if tok]
+    try:
+        primes = [int(tok) for tok in args.primes.split(",") if tok]
+        check_window(1, primes)  # the prime scope alone; the order given is kept
+    except ValueError as exc:
+        parser.error(f"bad --primes {args.primes!r}: {exc}")
 
     print("p,k,l,delta")
     for p in primes:
         for k in range(1, args.kmax + 1):
             for l in range(1, k + 1):
                 value = delta_p(p, k, l)
-                print(f"{p},{k},{l},{'inf' if value is INF else value}")
+                print(f"{p},{k},{l},{value}")
 
     print()
     print("d,p,hmax,count")

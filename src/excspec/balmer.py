@@ -35,6 +35,7 @@ __all__ = [
     "geometric_blueshift",
     "generator_support",
     "open_embedding_check",
+    "smith_points",
     "smith_holds",
 ]
 
@@ -219,24 +220,23 @@ def open_embedding_check(
     return image == expected
 
 
-def smith_holds(
-    d: int,
-    p: int,
-    k: int,
-    l: int,
-    n: NatInfinity,
-    h: NatInfinity,
-) -> bool:
-    """Conditional-vanishing comparison between the layer-k derivative at
-    height n and the layer-l derivative at height h: holds iff the
-    (k, p, n+1) point is contained in the (l, p, h+1) point.  The
-    equivalent dimension-inequality statement has the same answer."""
+def smith_points(
+    d: int, p: int, k: int, l: int, n: NatInfinity, h: NatInfinity
+) -> tuple[BalmerPrime, BalmerPrime]:
+    """The validated points (k, p, n+1) and (l, p, h+1) of the
+    conditional-vanishing comparison between the layer-k derivative at
+    height n and the layer-l derivative at height h."""
     check_window(d, (p,))
     if not (1 <= k <= d and 1 <= l <= d):
         raise ValueError("layers out of range")
     for value in (n, h):
         if value is not INF and value < 0:
             raise ValueError("heights must be >= 0")
-    a = balmer_prime(d, k, p, INF if n is INF else n + 1)
-    b = balmer_prime(d, l, p, INF if h is INF else h + 1)
-    return b_leq(a, b)
+    return balmer_prime(d, k, p, n + 1), balmer_prime(d, l, p, h + 1)
+
+
+def smith_holds(d: int, p: int, k: int, l: int, n: NatInfinity, h: NatInfinity) -> bool:
+    """Conditional-vanishing comparison: holds iff the first of the
+    `smith_points` is contained in the second.  The equivalent
+    dimension-inequality statement has the same answer."""
+    return b_leq(*smith_points(d, p, k, l, n, h))

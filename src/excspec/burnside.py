@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, product
 
 from .combinat import BudgetError, mu_incl_excl, stirling1, surjections
 
@@ -24,11 +26,13 @@ __all__ = [
     "ghost_is_hom_check",
     "cokernel_invariants",
     "quotient_presentation_check",
+    "ring_check",
     "smith_normal_form",
     "factorial_product_group_matches",
 ]
 
 PRESENT_MAX_D = 16
+ASSOCIATIVITY_MAX_D = 6  # the triple sweep makes d**3 products of products
 
 
 @dataclass(frozen=True)
@@ -179,8 +183,10 @@ class BurnsidePresentation:
         return lines
 
 
+@lru_cache(maxsize=None)
 def present(d: int) -> BurnsidePresentation:
-    """Build the full presentation for rank d (budget: d <= 16)."""
+    """Build the full presentation for rank d (budget: d <= 16).  Cached:
+    a presentation is immutable, so every check of one query shares it."""
     return BurnsidePresentation(d)
 
 
@@ -188,43 +194,54 @@ def ghost_is_hom_check(d: int, trials: int = 50, seed: int = 0) -> bool:
     """Verify ghost(a*b) == ghost(a) . ghost(b) componentwise on every
     basis pair plus `trials` seeded random elements with small coefficients.
     A False return signals a structure-constant bug."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     pres = present(d)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            a, b = pres.basis(i), pres.basis(j)
-            lhs = pres.ghost(pres.multiply(a, b))
-            rhs = tuple(x * y for x, y in zip(pres.ghost(a), pres.ghost(b)))
-            if lhs != rhs:
-                return False
     rng = random.Random(seed)
-    for _ in range(trials):
-        a = RingElement(tuple(rng.randint(-9, 9) for _ in range(d)))
-        b = RingElement(tuple(rng.randint(-9, 9) for _ in range(d)))
-        lhs = pres.ghost(pres.multiply(a, b))
-        rhs = tuple(x * y for x, y in zip(pres.ghost(a), pres.ghost(b)))
-        if lhs != rhs:
-            return False
-    return True
+    basis = [pres.basis(i) for i in range(1, d + 1)]
+    randoms = (
+        [RingElement(tuple(rng.randint(-9, 9) for _ in range(d))) for _ in range(2)]
+        for _ in range(trials)
+    )
+    return all(
+        pres.ghost(pres.multiply(a, b))
+        == tuple(x * y for x, y in zip(pres.ghost(a), pres.ghost(b)))
+        for a, b in chain(product(basis, repeat=2), randoms)
+    )
 
 
 def quotient_presentation_check(d: int) -> bool:
     """Full triple-associativity sweep of the basis monomials: the table
     must satisfy (x_i x_j) x_k == x_i (x_j x_k) for all i, j, k."""
-    if d > 6:
-        raise BudgetError(f"quotient_presentation_check budget exceeded: d = {d} > 6")
+    if d > ASSOCIATIVITY_MAX_D:
+        raise BudgetError(
+            f"quotient_presentation_check budget exceeded: d = {d} > {ASSOCIATIVITY_MAX_D}"
+        )
     pres = present(d)
-    for i in range(1, d + 1):
-        xi = pres.basis(i)
-        for j in range(1, d + 1):
-            xj = pres.basis(j)
-            ij = pres.multiply(xi, xj)
-            for k in range(1, d + 1):
-                xk = pres.basis(k)
-                left = pres.multiply(ij, xk)
-                right = pres.multiply(xi, pres.multiply(xj, xk))
-                if left != right:
-                    return False
-    return True
+    basis = [pres.basis(i) for i in range(1, d + 1)]
+    return all(
+        pres.multiply(pres.multiply(a, b), c) == pres.multiply(a, pres.multiply(b, c))
+        for a, b, c in product(basis, repeat=3)
+    )
+
+
+def ring_check(d: int, trials: int = 50, seed: int = 0) -> dict[str, bool]:
+    """The ring-axiom verdicts of rank d, by name in report order: ghost
+    multiplicativity (see `ghost_is_hom_check`), triple associativity
+    while d is within its budget, then commutativity and the unit law
+    on the basis."""
+    pres = present(d)
+    checks = {
+        f"ghost multiplicativity (seed={seed})": ghost_is_hom_check(d, trials, seed)
+    }
+    if d <= ASSOCIATIVITY_MAX_D:
+        checks["triple associativity"] = quotient_presentation_check(d)
+    basis = [pres.basis(i) for i in range(1, d + 1)]
+    checks["commutativity"] = all(
+        pres.multiply(a, b) == pres.multiply(b, a) for a, b in product(basis, repeat=2)
+    )
+    checks["unit"] = all(pres.multiply(pres.one(), x) == x for x in basis)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +314,6 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     return diag
 
 
-def _prime_power_factors(n: int) -> list[int]:
-    """Multiset of prime-power cyclic factors of Z/n (empty for n = 1)."""
-    factors = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            q = 1
-            while n % f == 0:
-                n //= f
-                q *= f
-            factors.append(q)
-        f += 1
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
 def cokernel_invariants(d: int) -> list[int]:
     """Invariant factors of the ghost matrix: the cokernel of the ghost
     map as a finite abelian group."""
@@ -322,13 +322,9 @@ def cokernel_invariants(d: int) -> list[int]:
 
 
 def factorial_product_group_matches(invariants: list[int], d: int) -> bool:
-    """Whether the group with the given invariant factors is isomorphic
-    to Z/1! x Z/2! x ... x Z/d!, by comparing prime-power cyclic
-    decompositions as multisets."""
-    left: list[int] = []
-    for n in invariants:
-        left.extend(_prime_power_factors(n))
-    right: list[int] = []
-    for i in range(1, d + 1):
-        right.extend(_prime_power_factors(math.factorial(i)))
-    return sorted(left) == sorted(right)
+    """Whether the group with the given invariant factors d_1 | d_2 | ...
+    is isomorphic to Z/1! x Z/2! x ... x Z/d!.  Since i! divides (i+1)!,
+    that product is already in invariant-factor form, so the non-unit
+    factors must be exactly 2!, ..., d! in order; a 0 factor (a free Z
+    summand) never matches."""
+    return [n for n in invariants if n != 1] == [math.factorial(i) for i in range(2, d + 1)]

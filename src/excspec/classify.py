@@ -70,6 +70,15 @@ class AdmissibleFunction:
     primes: tuple[int, ...]
     values: tuple[tuple[NatInfinity, ...], ...]  # indexed [prime][layer]
 
+    def __post_init__(self):
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"repeated prime in {self.primes}")
+        check_window(self.d, self.primes)
+        if len(self.values) != len(self.primes):
+            raise ValueError("need one row of values per prime")
+        if any(len(row) != self.d for row in self.values):
+            raise ValueError("values length must equal d")
+
     def value(self, k: int, p: int) -> NatInfinity:
         return self.values[self.primes.index(p)][k - 1]
 

@@ -15,18 +15,24 @@ import sys
 
 from . import balmer, burnside, classify, combinat, hzspec, zariski
 from .combinat import INF, BudgetError
-from .poset import Poset, build_poset
+from .poset import Poset
 
 __all__ = ["main"]
 
-
-def _height_str(h) -> str:
-    return "inf" if h is INF else str(h)
+# The optional flags each mode of `ring` and `ideals` reads; giving any
+# other is a usage error.
+MODE_FLAGS = {
+    "table": ("--json",),
+    "check": ("--trials", "--seed"),
+    "cokernel": (),
+    "count": ("--csv",),
+    "list": ("--json",),
+}
 
 
 def balmer_label(pt: balmer.BalmerPrime) -> str:
     char = "*" if pt.height == 1 else str(pt.char)
-    return f"P({pt.layer}|{char},{_height_str(pt.height)})"
+    return f"P({pt.layer}|{char},{pt.height})"
 
 
 def zariski_label(pt: zariski.ZariskiPrime) -> str:
@@ -82,6 +88,15 @@ def _parse_natinf(text: str):
     return int(text)
 
 
+def _check_mode_flags(args) -> None:
+    given = [f"--{name}" for name in ("trials", "seed") if name in args]
+    if args.format != "text":
+        given.append(f"--{args.format}")
+    for flag in given:
+        if flag not in MODE_FLAGS[args.mode]:
+            raise ValueError(f"{flag} does not apply to {args.command} --{args.mode}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -113,7 +128,8 @@ def cmd_mu(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    if args.table:
+    _check_mode_flags(args)
+    if args.mode == "table":
         pres = burnside.present(args.d)
         if args.format == "json":
             payload = {
@@ -129,7 +145,7 @@ def cmd_ring(args) -> int:
             for line in pres.table_lines():
                 print(line)
         return 0
-    if args.cokernel:
+    if args.mode == "cokernel":
         invariants = burnside.cokernel_invariants(args.d)
         ok = burnside.factorial_product_group_matches(invariants, args.d)
         print("invariant factors:", " ".join(str(n) for n in invariants))
@@ -138,32 +154,11 @@ def cmd_ring(args) -> int:
             % (args.d, "PASS" if ok else "FAIL")
         )
         return 0 if ok else 1
-    # --check
-    checks = {
-        "ghost multiplicativity (seed=%d)" % args.seed: burnside.ghost_is_hom_check(
-            args.d, trials=args.trials, seed=args.seed
-        ),
-    }
-    if args.d <= 6:
-        checks["triple associativity"] = burnside.quotient_presentation_check(args.d)
-    pres = burnside.present(args.d)
-    commutative = all(
-        pres.multiply(pres.basis(i), pres.basis(j))
-        == pres.multiply(pres.basis(j), pres.basis(i))
-        for i in range(1, args.d + 1)
-        for j in range(1, args.d + 1)
-    )
-    checks["commutativity"] = commutative
-    unit = all(
-        pres.multiply(pres.one(), pres.basis(i)) == pres.basis(i)
-        for i in range(1, args.d + 1)
-    )
-    checks["unit"] = unit
-    failed = False
+    options = {name: getattr(args, name) for name in ("trials", "seed") if name in args}
+    checks = burnside.ring_check(args.d, **options)
     for name, ok in checks.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-        failed = failed or not ok
-    return 1 if failed else 0
+    return 0 if all(checks.values()) else 1
 
 
 def _spec_poset(args):
@@ -172,14 +167,7 @@ def _spec_poset(args):
         poset = zariski.z_poset(args.d, primes)
         return poset, zariski_label, lambda q: {"layer": q.layer, "char": q.char}
     if args.variant == "hz":
-        points = hzspec.hz_points(args.d, primes)
-        if args.slice is not None:
-            if args.slice != 0 and args.slice not in primes:
-                raise ValueError(
-                    f"--slice must be 0 or one of the primes, got {args.slice}"
-                )
-            points = [q for q in points if q.residue == args.slice]
-        poset = build_poset(points, hzspec.hz_leq)
+        poset = hzspec.hz_poset(args.d, primes, args.slice)
         return poset, hz_label, lambda q: {"layer": q.layer, "char": q.residue}
     trunc = balmer.b_truncation(
         args.d, primes, args.hmax, include_infinity=not args.no_inf
@@ -187,7 +175,7 @@ def _spec_poset(args):
     return (
         trunc,
         balmer_label,
-        lambda q: {"layer": q.layer, "char": q.char, "height": _height_str(q.height)},
+        lambda q: {"layer": q.layer, "char": q.char, "height": str(q.height)},
     )
 
 
@@ -203,27 +191,28 @@ def cmd_spec(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    print(_height_str(combinat.delta_p(args.p, args.k, args.l)))
+    print(combinat.delta_p(args.p, args.k, args.l))
     return 0
 
 
 def cmd_smith(args) -> int:
-    n, h = _parse_natinf(args.n), _parse_natinf(args.h)
-    holds = balmer.smith_holds(args.d, args.p, args.k, args.l, n, h)
-    a = balmer.balmer_prime(args.d, args.k, args.p, INF if n is INF else n + 1)
-    b = balmer.balmer_prime(args.d, args.l, args.p, INF if h is INF else h + 1)
+    a, b = balmer.smith_points(
+        args.d, args.p, args.k, args.l, _parse_natinf(args.n), _parse_natinf(args.h)
+    )
+    holds = balmer.b_leq(a, b)
     print(f"{balmer_label(a)} <= {balmer_label(b)}: {holds}")
     print("HOLDS" if holds else "FAILS")
     return 0
 
 
 def cmd_ideals(args) -> int:
+    _check_mode_flags(args)
     budget = int(os.environ.get("EXCSPEC_ENUM_BUDGET", classify.ENUM_BUDGET))
     count, functions = classify.enumerate_p_admissible(
-        args.d, args.p, args.hmax, with_list=args.list, budget=budget
+        args.d, args.p, args.hmax, with_list=args.mode == "list", budget=budget
     )
-    if args.list:
-        rows = [[_height_str(v) for v in f] for f in functions]
+    if args.mode == "list":
+        rows = [[str(v) for v in f] for f in functions]
         if args.format == "json":
             print(json.dumps(rows, separators=(",", ":")))
         else:
@@ -265,11 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ring = sub.add_parser("ring", help="rank-d ring reports")
     p_ring.add_argument("d", type=int)
     group = p_ring.add_mutually_exclusive_group(required=True)
-    group.add_argument("--table", action="store_true")
-    group.add_argument("--check", action="store_true")
-    group.add_argument("--cokernel", action="store_true")
-    p_ring.add_argument("--trials", type=int, default=50)
-    p_ring.add_argument("--seed", type=int, default=0)
+    for mode in ("table", "check", "cokernel"):
+        group.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode)
+    # absent unless given, so that burnside.ring_check owns the defaults
+    p_ring.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+    p_ring.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_ring.add_argument(
         "--json", dest="format", action="store_const", const="json"
     )
@@ -334,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ideals.add_argument("p", type=int)
     p_ideals.add_argument("hmax", type=int)
     group = p_ideals.add_mutually_exclusive_group(required=True)
-    group.add_argument("--count", action="store_true")
-    group.add_argument("--list", action="store_true")
+    for mode in ("count", "list"):
+        group.add_argument(f"--{mode}", dest="mode", action="store_const", const=mode)
     fmt = p_ideals.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="format", action="store_const", const="json")
     fmt.add_argument("--csv", dest="format", action="store_const", const="csv")

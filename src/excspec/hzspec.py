@@ -15,6 +15,7 @@ from typing import Iterable
 
 from .balmer import BalmerPrime
 from .combinat import INF, check_window, delta_p, is_prime
+from .poset import Poset, build_poset
 
 __all__ = [
     "HZPrime",
@@ -23,6 +24,7 @@ __all__ = [
     "hz_base_change",
     "hz_admissible_subset",
     "hz_points",
+    "hz_poset",
 ]
 
 
@@ -74,6 +76,17 @@ def hz_points(d: int, primes: Iterable[int]) -> list[HZPrime]:
     ]
 
 
+def hz_poset(d: int, primes: Iterable[int], residue: int | None = None) -> Poset:
+    """The spectrum over the given residue characteristics plus 0 as a
+    poset, or, given a residue (0 or one of the primes; the CLI's
+    `--slice`), only that residue's slice."""
+    prime_tuple = check_window(d, primes)
+    if residue not in (None, 0) + prime_tuple:
+        raise ValueError(f"--slice must be 0 or one of the primes, got {residue}")
+    points = [q for q in hz_points(d, prime_tuple) if residue in (None, q.residue)]
+    return build_poset(points, hz_leq)
+
+
 def hz_admissible_subset(
     Y: Iterable[tuple[int, int]], d: int, primes: Iterable[int]
 ) -> bool:
@@ -85,7 +98,7 @@ def hz_admissible_subset(
     prime_tuple = check_window(d, primes)
     members = {(k, r) for (k, r) in Y}
     for k, r in members:
-        if not 1 <= k <= d or (r != 0 and r not in prime_tuple):
+        if not 1 <= k <= d or r not in (0,) + prime_tuple:
             raise ValueError(f"point ({k},{r}) outside [d] x prime scope")
     for l, r in members:
         scope = prime_tuple if r == 0 else (r,)

@@ -14,6 +14,7 @@ from excspec.balmer import (
     open_embedding_check,
     rho,
     smith_holds,
+    smith_points,
     tate_blueshift,
 )
 from excspec.combinat import INF, BudgetError, shortest_ppp_chain
@@ -254,3 +255,19 @@ class TestSmith:
         assert smith_holds(4, 2, 4, 2, INF, INF)
         assert smith_holds(4, 2, 4, 2, INF, 3)
         assert not smith_holds(4, 2, 4, 2, 3, INF)
+
+    def test_points_are_one_height_above_the_query(self):
+        assert smith_points(4, 2, 4, 2, 3, 0) == (BalmerPrime(4, 2, 4), BalmerPrime(2, 0, 1))
+        assert smith_points(4, 2, 4, 2, INF, 2) == (BalmerPrime(4, 2, INF), BalmerPrime(2, 2, 3))
+
+    def test_holds_is_containment_of_the_points(self):
+        for k, l in itertools.product(range(1, 5), repeat=2):
+            for n, h in itertools.product((0, 1, 2, 3, INF), repeat=2):
+                assert smith_holds(4, 3, k, l, n, h) == b_leq(*smith_points(4, 3, k, l, n, h))
+
+    @pytest.mark.parametrize(
+        "args", [(3, 4, 1, 1, 0, 0), (0, 2, 1, 1, 0, 0), (3, 2, 4, 1, 0, 0), (3, 2, 1, 1, -1, 0)]
+    )
+    def test_points_reject_bad_input(self, args):
+        with pytest.raises(ValueError):
+            smith_points(*args)

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excspec import burnside
 from excspec.burnside import (
+    BurnsidePresentation,
     RingElement,
     cokernel_invariants,
     factorial_product_group_matches,
     ghost_is_hom_check,
     present,
     quotient_presentation_check,
+    ring_check,
     smith_normal_form,
 )
 from excspec.combinat import BudgetError, mu_brute
@@ -161,6 +164,22 @@ class TestCokernel:
             )
             assert factorial_product_group_matches(invariants, d)
 
+    def test_group_matches_factorials_up_to_rank_sixteen(self):
+        for d in range(1, 17):
+            assert factorial_product_group_matches(cokernel_invariants(d), d)
+
+    def test_free_summand_never_matches(self):
+        # a 0 invariant factor is a Z summand, not a trivial group
+        assert not factorial_product_group_matches([0], 1)
+        assert not factorial_product_group_matches([0, 2], 2)
+        assert not factorial_product_group_matches([1, 2, 0], 3)
+
+    def test_factors_must_be_the_factorials_in_order(self):
+        assert factorial_product_group_matches([1, 1, 2, 6], 3)
+        assert not factorial_product_group_matches([1, 2], 3)
+        assert not factorial_product_group_matches([1, 2, 6, 6], 3)
+        assert not factorial_product_group_matches([1, 6, 2], 3)
+
     def test_divisibility_chain(self):
         invariants = cokernel_invariants(6)
         for a, b in zip(invariants, invariants[1:]):
@@ -200,3 +219,50 @@ class TestSmithNormalForm:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2, 3], [4, 5, 6]])
+
+
+class TestRingCheck:
+    def test_verdicts_in_report_order(self):
+        assert ring_check(4) == {
+            "ghost multiplicativity (seed=0)": True,
+            "triple associativity": True,
+            "commutativity": True,
+            "unit": True,
+        }
+        assert list(ring_check(7, trials=3, seed=2)) == [
+            "ghost multiplicativity (seed=2)",
+            "commutativity",
+            "unit",
+        ]
+
+    def test_associativity_runs_exactly_within_its_budget(self):
+        assert "triple associativity" in ring_check(burnside.ASSOCIATIVITY_MAX_D, trials=0)
+        assert "triple associativity" not in ring_check(
+            burnside.ASSOCIATIVITY_MAX_D + 1, trials=0
+        )
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError):
+            ghost_is_hom_check(3, trials=-4)
+
+    def test_ghost_failure_is_reported(self, monkeypatch):
+        monkeypatch.setattr(burnside, "ghost_is_hom_check", lambda d, trials, seed: False)
+        assert ring_check(3)["ghost multiplicativity (seed=0)"] is False
+
+    @pytest.mark.parametrize("d", ["4", "16"])
+    def test_one_query_builds_one_presentation(self, run_cli, monkeypatch, d):
+        built = []
+        original = BurnsidePresentation.__init__
+
+        def spy(self, rank):
+            built.append(rank)
+            original(self, rank)
+
+        monkeypatch.setattr(BurnsidePresentation, "__init__", spy)
+        present.cache_clear()
+        try:
+            code, out, _ = run_cli(["ring", d, "--check"])
+        finally:
+            present.cache_clear()
+        assert code == 0 and "FAIL" not in out
+        assert built == [int(d)]

@@ -94,6 +94,25 @@ class TestAdmissible:
         f = AdmissibleFunction(2, (2,), ((INF, INF),))
         assert not classify.is_admissible(f)
 
+    @pytest.mark.parametrize(
+        "d, primes, values",
+        [
+            (2, (2, 3), ((0, 0),)),  # a row short: IndexError in is_admissible before
+            (2, (2,), ((0, 0), (0, 0))),  # a row too many
+            (2, (2, 3), ((0,), (0, 0))),  # a row of the wrong length
+            (2, (2, 2), ((0, 0), (0, 0))),  # a repeated prime
+            (2, (4,), ((0, 0),)),  # not a prime
+            (0, (2,), ((),)),  # d < 1
+        ],
+    )
+    def test_rejects_bad_shape(self, d, primes, values):
+        with pytest.raises(ValueError):
+            AdmissibleFunction(d, primes, values)
+
+    def test_keeps_the_prime_order_given(self):
+        f = AdmissibleFunction(2, (3, 2), ((1, 1), (2, 2)))
+        assert f.value(1, 3) == 1 and f.value(1, 2) == 2
+
 
 class TestThomasonFromFunction:
     def test_constant_infinity_gives_empty(self):

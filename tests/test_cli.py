@@ -1,5 +1,8 @@
 import json
+import runpy
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -210,6 +213,15 @@ class TestInputValidation:
             ["smith", "3", "4", "1", "1", "0", "0"],
             ["spec", "balmer", "-d", "2", "-p", "2,x"],
             ["spec", "zariski", "-d", "2", "-p", ","],
+            ["ideals", "3", "2", "2", "--count", "--json"],
+            ["ideals", "3", "2", "2", "--list", "--csv"],
+            ["ring", "3", "--check", "--json"],
+            ["ring", "3", "--cokernel", "--json"],
+            ["ring", "3", "--table", "--seed", "1"],
+            ["ring", "3", "--table", "--trials", "5"],
+            ["ring", "3", "--cokernel", "--seed", "1"],
+            ["ring", "3", "--cokernel", "--trials", "5"],
+            ["ring", "3", "--check", "--trials", "-4"],
         ],
     )
     def test_out_of_scope_window_is_usage_error(self, run_cli, argv):
@@ -252,6 +264,36 @@ class TestInputValidation:
             code, out, _ = run_cli(["spec", "hz", "-d", "3", "-p", "2,3", "--slice", residue])
             assert code == 0
             assert out.startswith("points: 3\n")
+
+
+class TestSurveyScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "blueshift_survey.py"
+
+    def run(self, monkeypatch, capsys, *argv):
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT), *argv])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        out, err = capsys.readouterr()
+        return excinfo.value.code, out, err
+
+    @pytest.mark.parametrize("primes", ["4", "x", "2,1", ","])
+    def test_bad_prime_list_is_usage_error(self, monkeypatch, capsys, primes):
+        code, out, err = self.run(monkeypatch, capsys, "--primes", primes)
+        assert code == 2
+        assert out == ""
+        assert "error: bad --primes" in err and "Traceback" not in err
+
+    def test_keeps_the_prime_order_given(self, monkeypatch, capsys):
+        code, out, _ = self.run(monkeypatch, capsys, "--primes", "3,2", "--kmax", "2", "--dmax", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "p,k,l,delta",
+            "3,1,1,0", "3,2,1,inf", "3,2,2,0",
+            "2,1,1,0", "2,2,1,1", "2,2,2,0",
+            "",
+            "d,p,hmax,count",
+            "1,3,3,5", "1,2,3,5",
+        ]
 
 
 class TestDeterminismAndValidity:

@@ -10,8 +10,10 @@ from excspec.hzspec import (
     hz_base_change,
     hz_leq,
     hz_points,
+    hz_poset,
     hz_prime,
 )
+from excspec.poset import build_poset
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -117,3 +119,31 @@ class TestAdmissibleSubsets:
         for d, primes in ((3, [4]), (3, [1]), (0, [2]), (3, [])):
             with pytest.raises(ValueError):
                 hz_admissible_subset([], d, primes)
+
+
+class TestPoset:
+    @pytest.mark.parametrize("primes", [[2], [3], [2, 3], [5, 2, 7]])
+    def test_matches_the_filtered_point_poset(self, primes):
+        for d in range(1, 7):
+            for residue in [None, 0] + primes:
+                points = [
+                    q for q in hz_points(d, primes) if residue is None or q.residue == residue
+                ]
+                expected = build_poset(points, hz_leq)
+                got = hz_poset(d, primes, residue)
+                assert got.points == expected.points
+                assert got.relation == expected.relation
+                assert got.covers == expected.covers
+
+    def test_rejects_an_out_of_scope_residue(self):
+        for residue in (5, 4, 1, -1):
+            with pytest.raises(ValueError) as excinfo:
+                hz_poset(3, [2], residue)
+            assert str(excinfo.value) == (
+                f"--slice must be 0 or one of the primes, got {residue}"
+            )
+
+    def test_checks_the_window_before_the_residue(self):
+        for d, primes in ((0, [2]), (3, [4]), (3, [])):
+            with pytest.raises(ValueError, match="^(need d|not a prime|prime set)"):
+                hz_poset(d, primes, 7)

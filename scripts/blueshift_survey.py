@@ -21,8 +21,9 @@ def main() -> int:
     parser.add_argument("--hmax", type=int, default=3)
     args = parser.parse_args()
     try:
-        primes = [int(tok) for tok in args.primes.split(",") if tok]
-        check_window(1, primes)  # the prime scope alone; the order given is kept
+        # repeats dropped, the order given kept; check_window checks the scope
+        primes = list(dict.fromkeys(int(tok) for tok in args.primes.split(",") if tok))
+        check_window(1, primes)
     except ValueError as exc:
         parser.error(f"bad --primes {args.primes!r}: {exc}")
 

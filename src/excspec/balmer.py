@@ -18,9 +18,10 @@ relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .combinat import INF, BudgetError, NatInfinity, check_window, delta_p, is_prime
-from .poset import Poset, order_relation
+from .combinat import INF, NatInfinity, check_window, delta_p, is_prime
+from .poset import Poset, build_poset
 from .zariski import ZariskiPrime, canonical_layer
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "smith_points",
     "smith_holds",
 ]
-
-TRUNCATION_BUDGET = 1200  # most points a truncation materializes (quadratic sweep)
 
 
 @dataclass(frozen=True)
@@ -106,21 +105,6 @@ class SpectrumTruncation(Poset):
     include_infinity: bool
 
 
-def _truncation_points(
-    d: int, primes: tuple[int, ...], hmax: int, include_infinity: bool
-) -> list[BalmerPrime]:
-    """The points in (layer, char, height) order, given sorted primes."""
-    points = []
-    for layer in range(1, d + 1):
-        points.append(BalmerPrime(layer, 0, 1))
-        for p in primes:
-            for h in range(2, hmax + 1):
-                points.append(BalmerPrime(layer, p, h))
-            if include_infinity:
-                points.append(BalmerPrime(layer, p, INF))
-    return points
-
-
 def b_truncation(
     d: int,
     primes: list[int] | tuple[int, ...],
@@ -131,15 +115,20 @@ def b_truncation(
     if hmax < 1:
         raise ValueError("hmax must be >= 1")
     prime_tuple = check_window(d, primes)
-    n_points = d * (1 + len(prime_tuple) * (hmax - 1 + include_infinity))
-    if n_points > TRUNCATION_BUDGET:
-        raise BudgetError(
-            f"b_truncation budget exceeded: {n_points} points > {TRUNCATION_BUDGET}"
-        )
-    points = tuple(_truncation_points(d, prime_tuple, hmax, include_infinity))
+    # per layer: the rational point, then each prime's heights 2..hmax
+    # (and INF); lazy, so build_poset's budget bounds the work at any hmax
+    heights = range(2, hmax + 1)
+    tail = (INF,) if include_infinity else ()
+    points = (
+        BalmerPrime(k, c, h)
+        for k in range(1, d + 1)
+        for c, hs in [(0, (1,)), *((p, chain(heights, tail)) for p in prime_tuple)]
+        for h in hs
+    )
+    poset = build_poset(points, b_leq)
     return SpectrumTruncation(
-        points=points,
-        relation=order_relation(points, b_leq),
+        points=poset.points,
+        relation=poset.relation,
         d=d,
         primes=prime_tuple,
         hmax=hmax,
@@ -227,11 +216,6 @@ def smith_points(
     conditional-vanishing comparison between the layer-k derivative at
     height n and the layer-l derivative at height h."""
     check_window(d, (p,))
-    if not (1 <= k <= d and 1 <= l <= d):
-        raise ValueError("layers out of range")
-    for value in (n, h):
-        if value is not INF and value < 0:
-            raise ValueError("heights must be >= 0")
     return balmer_prime(d, k, p, n + 1), balmer_prime(d, l, p, h + 1)
 
 

@@ -57,6 +57,7 @@ class PAdmissibleFunction:
     values: tuple[NatInfinity, ...]
 
     def __post_init__(self):
+        check_window(self.d, (self.p,))
         if len(self.values) != self.d:
             raise ValueError("values length must equal d")
 

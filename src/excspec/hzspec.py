@@ -65,26 +65,27 @@ def hz_base_change(a: HZPrime) -> BalmerPrime:
     return BalmerPrime(a.layer, a.residue, INF)
 
 
+def _hz_stream(d: int, residues: tuple[int, ...]) -> Iterable[HZPrime]:
+    """The points over the given residues in (layer, residue) order."""
+    return (HZPrime(layer, r) for layer in range(1, d + 1) for r in residues)
+
+
 def hz_points(d: int, primes: Iterable[int]) -> list[HZPrime]:
     """All points over the given residue characteristics plus 0, in the
     deterministic (layer, residue) order."""
-    prime_tuple = check_window(d, primes)
-    return [
-        hz_prime(d, layer, residue)
-        for layer in range(1, d + 1)
-        for residue in (0,) + prime_tuple
-    ]
+    return list(_hz_stream(d, (0,) + check_window(d, primes)))
 
 
 def hz_poset(d: int, primes: Iterable[int], residue: int | None = None) -> Poset:
     """The spectrum over the given residue characteristics plus 0 as a
     poset, or, given a residue (0 or one of the primes; the CLI's
     `--slice`), only that residue's slice."""
-    prime_tuple = check_window(d, primes)
-    if residue not in (None, 0) + prime_tuple:
-        raise ValueError(f"--slice must be 0 or one of the primes, got {residue}")
-    points = [q for q in hz_points(d, prime_tuple) if residue in (None, q.residue)]
-    return build_poset(points, hz_leq)
+    residues = (0,) + check_window(d, primes)
+    if residue is not None:
+        if residue not in residues:
+            raise ValueError(f"--slice must be 0 or one of the primes, got {residue}")
+        residues = (residue,)
+    return build_poset(_hz_stream(d, residues), hz_leq)
 
 
 def hz_admissible_subset(

@@ -1,15 +1,22 @@
 """Finite poset value object shared by the spectrum modules: point list,
 full order relation, and Hasse cover edges obtained by transitive
 reduction.  The relation is the source of truth; covers exist for
-readable diagram output and are computed on first use."""
+readable diagram output and are computed on first use.  `build_poset`
+is the one way a spectrum becomes a Poset, and it owns the point
+budget of the quadratic relation sweep."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable
 
-__all__ = ["Poset", "build_poset", "order_relation", "transitive_reduction"]
+from .combinat import BudgetError
+
+__all__ = ["POINT_BUDGET", "Poset", "build_poset", "transitive_reduction"]
+
+POINT_BUDGET = 1200  # most points a poset materializes (quadratic sweep)
 
 
 @dataclass(frozen=True)
@@ -76,20 +83,19 @@ def transitive_reduction(n: int, relation: frozenset) -> tuple:
     return tuple(covers)
 
 
-def order_relation(points: tuple, leq: Callable) -> frozenset:
-    """Index pairs (i, j), i != j, of the points with leq(points[i],
-    points[j]), by one sweep over all ordered pairs."""
-    return frozenset(
+def build_poset(nodes: Iterable, leq: Callable) -> Poset:
+    """Assemble a Poset from ordered points and a reflexive order
+    predicate, by one sweep over all ordered pairs.  At most
+    POINT_BUDGET + 1 points are read, so an oversized window raises
+    BudgetError before any pair is compared.  Point order is preserved,
+    so deterministic input order yields deterministic serialization."""
+    points = tuple(islice(nodes, POINT_BUDGET + 1))
+    if len(points) > POINT_BUDGET:
+        raise BudgetError(f"poset budget exceeded: more than {POINT_BUDGET} points")
+    relation = frozenset(
         (i, j)
         for i, a in enumerate(points)
         for j, b in enumerate(points)
         if i != j and leq(a, b)
     )
-
-
-def build_poset(nodes: Sequence, leq: Callable) -> Poset:
-    """Assemble a Poset from an ordered point sequence and a reflexive
-    order predicate.  Point order is preserved, so deterministic input
-    order yields deterministic serialization downstream."""
-    points = tuple(nodes)
-    return Poset(points=points, relation=order_relation(points, leq))
+    return Poset(points=points, relation=relation)

@@ -87,7 +87,10 @@ def z_poset(d: int, primes: list[int]) -> Poset:
     as a poset of canonical points: minimal char-0 points at the bottom,
     one glued maximal point per residue class per prime."""
     prime_tuple = check_window(d, primes)
-    points = sorted(
-        {zariski_prime(d, i, c) for i in range(1, d + 1) for c in (0,) + prime_tuple}
+    points = (
+        ZariskiPrime(layer, char)
+        for layer in range(1, d + 1)
+        for char in (0,) + prime_tuple
+        if canonical_layer(layer, char) == layer
     )
     return build_poset(points, z_leq)

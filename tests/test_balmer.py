@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from excspec import balmer
+from excspec import poset
 from excspec.balmer import (
     BalmerPrime,
     b_equal,
@@ -128,9 +128,9 @@ class TestTruncation:
     def test_budget_bounds_the_computed_point_count(self, monkeypatch):
         for d, primes, hmax, inf in [(2, [2], 2, True), (3, [2, 5], 3, False)]:
             n_points = d * (1 + len(primes) * (hmax - 1 + inf))
-            monkeypatch.setattr(balmer, "TRUNCATION_BUDGET", n_points)
+            monkeypatch.setattr(poset, "POINT_BUDGET", n_points)
             assert len(b_truncation(d, primes, hmax, inf).points) == n_points
-            monkeypatch.setattr(balmer, "TRUNCATION_BUDGET", n_points - 1)
+            monkeypatch.setattr(poset, "POINT_BUDGET", n_points - 1)
             with pytest.raises(BudgetError):
                 b_truncation(d, primes, hmax, inf)
 

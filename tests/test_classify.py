@@ -56,6 +56,18 @@ class TestPAdmissible:
             with pytest.raises(ValueError):
                 is_p_admissible(values, p, d)
 
+    @pytest.mark.parametrize(
+        "d, p, values",
+        [
+            (2, 4, (0, 0)),  # not a prime
+            (0, 2, ()),  # d < 1
+            (2, 2, (0,)),  # too short
+        ],
+    )
+    def test_function_rejects_bad_window(self, d, p, values):
+        with pytest.raises(ValueError):
+            PAdmissibleFunction(d, p, values)
+
     def test_matches_brute_filter(self):
         for d, p, hmax in [(2, 2, 2), (3, 2, 1), (3, 3, 2)]:
             brute = set(brute_enumerate(d, p, hmax))

@@ -250,14 +250,18 @@ class TestInputValidation:
         assert "Traceback" not in err
 
     def test_truncation_past_budget_is_refused_quickly(self, run_cli):
-        start = time.perf_counter()
-        code, out, err = run_cli(
-            ["spec", "balmer", "-d", "40", "-p", "2,3,5,7,11,13", "-H", "10"]
-        )
-        assert time.perf_counter() - start < 5
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "budget" in err
+        for argv in (
+            ["spec", "balmer", "-d", "40", "-p", "2,3,5,7,11,13", "-H", "10"],
+            ["spec", "hz", "-d", "600", "-p", "2,3,5", "--text"],
+            ["spec", "zariski", "-d", "100000", "-p", "2"],
+            ["spec", "balmer", "-d", "1", "-p", "2", "-H", "1000000000"],
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(argv)
+            assert time.perf_counter() - start < 5
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "budget" in err
 
     def test_slice_zero_and_given_prime_accepted(self, run_cli):
         for residue in ("0", "2"):
@@ -294,6 +298,11 @@ class TestSurveyScript:
             "d,p,hmax,count",
             "1,3,3,5", "1,2,3,5",
         ]
+
+    def test_drops_repeated_primes(self, monkeypatch, capsys):
+        code, out, _ = self.run(monkeypatch, capsys, "--primes", "2,2", "--kmax", "1", "--dmax", "1")
+        assert code == 0
+        assert out.splitlines() == ["p,k,l,delta", "2,1,1,0", "", "d,p,hmax,count", "1,2,3,5"]
 
 
 class TestDeterminismAndValidity:
@@ -424,6 +433,9 @@ ARGV = st.one_of(
 @given(ARGV)
 @example(["smith", "3", "1", "2", "1", "0", "0"])
 @example(["spec", "balmer", "-d", "40", "-p", "2,3,5,7,11,13", "-H", "10"])
+@example(["spec", "hz", "-d", "600", "-p", "2,3,5", "--text"])
+@example(["spec", "zariski", "-d", "100000", "-p", "2"])
+@example(["spec", "balmer", "-d", "1", "-p", "2", "-H", "1000000000"])
 def test_exit_code_contract(argv):
     """Every argv exits 0, 1 or 2 without a traceback (any exception but
     SystemExit propagates out of invoke_cli), with repeatable stdout."""

@@ -148,7 +148,9 @@ class TestPoset:
         assert poset.minimal() == [ZariskiPrime(1, 0)]
 
     def test_points_and_covers_ascending(self):
-        for d, primes in [(6, [5, 3, 2]), (4, [7, 2, 2]), (3, [13])]:
+        for d, primes in [
+            (6, [5, 3, 2]), (4, [7, 2, 2]), (3, [13]), (14, PRIMES), (13, [2, 3]), (11, [13, 5]),
+        ]:
             poset = z_poset(d, primes)
             assert list(poset.points) == all_points(d, primes)
             assert all(a < b for a, b in zip(poset.covers, poset.covers[1:]))

@@ -1,5 +1,7 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -262,6 +264,22 @@ class TestInputValidation:
             assert code == 2
             assert out == ""
             assert err.startswith("error:") and "budget" in err
+
+    def test_window_at_the_point_budget_draws_its_covers(self):
+        """1200 points, the whole budget, in a cold process: the covers
+        must come out in seconds, not hang."""
+        argv = ["spec", "balmer", "-d", "600", "-p", "2", "-H", "2", "--no-inf", "--text"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "excspec.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("points: 1200\n")
+        assert "\ncovers: 178236\n" in done.stdout
 
     def test_slice_zero_and_given_prime_accepted(self, run_cli):
         for residue in ("0", "2"):

@@ -1,12 +1,110 @@
 import itertools
+import operator
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excspec import poset
+from excspec.balmer import BalmerPrime, b_truncation
 from excspec.combinat import BudgetError
 from excspec.hzspec import hz_poset
-from excspec.poset import build_poset
+from excspec.poset import Poset, build_poset
 from excspec.zariski import z_poset
+
+PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
+
+
+def covers_by_definition(pos: Poset) -> tuple:
+    """Index pairs (a, b), ascending, with a < b and no c strictly
+    between, read off `Poset.leq` alone."""
+    pts, leq = pos.points, pos.leq
+    return tuple(
+        (i, j)
+        for i, a in enumerate(pts)
+        for j, b in enumerate(pts)
+        if i != j
+        and leq(a, b)
+        and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in pts)
+    )
+
+
+def assert_matches_definitions(pos: Poset) -> None:
+    pts, leq = pos.points, pos.leq
+    assert pos.covers == covers_by_definition(pos)
+    assert pos.minimal() == [
+        b for b in pts if not any(a != b and leq(a, b) for a in pts)
+    ]
+    assert pos.maximal() == [
+        a for a in pts if not any(a != b and leq(a, b) for b in pts)
+    ]
+    for seeds in [[], pts[::2], pts[1::3], *([s] for s in pts)]:
+        assert pos.down_closure(seeds) == frozenset(
+            a for a in pts if any(leq(a, s) for s in seeds)
+        )
+
+
+# the truncations of acceptance criteria 7-9 and 11
+CRITERIA_TRUNCATIONS = sorted(
+    {(d, (2, 3, 5, 7), hmax, True) for d in range(1, 7) for hmax in (1, 6)}
+    | {(m, (2, 3), 4, True) for m in range(1, 6)}
+    | {(4, (2, 3, 5), 2, True)}
+)
+
+
+class TestCoversAndDownSetsMatchDefinitions:
+    @pytest.mark.parametrize("args", CRITERIA_TRUNCATIONS, ids=str)
+    def test_criteria_truncations(self, args):
+        assert_matches_definitions(b_truncation(*args))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_zariski(self, d):
+        assert_matches_definitions(z_poset(d, PRIMES_TO_13))
+
+    @pytest.mark.parametrize("residue", [None, 0, 2, 13])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_hz(self, d, residue):
+        assert_matches_definitions(hz_poset(d, PRIMES_TO_13, residue))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_finite_orders(self, data):
+        """The transitive closure of a random DAG on range(n), its points
+        relabelled so that the order does not follow the index order."""
+        n = data.draw(st.integers(0, 40))
+        vertex = st.integers(0, max(n - 1, 0))
+        edges = data.draw(st.sets(st.tuples(vertex, vertex)))
+        label = data.draw(st.permutations(range(n)))
+        below = [{a for a, b in edges if a < b == c} for c in range(n)]
+        for c in range(n):  # every a in below[c] is < c, so already closed
+            for a in list(below[c]):
+                below[c] |= below[a]
+        relation = frozenset((label[a], label[c]) for c in range(n) for a in below[c])
+        assert_matches_definitions(Poset(points=tuple(range(n)), relation=relation))
+
+
+class TestPointsOutside:
+    trunc = b_truncation(2, [2], 2)
+    outside = BalmerPrime(9, 2, 2)
+
+    def test_leq_is_false(self):
+        t, x = self.trunc, self.outside
+        assert x not in t
+        assert not t.leq(x, x)
+        assert not t.leq(x, t.points[0])
+        assert not t.leq(t.points[0], x)
+
+    def test_down_closure_names_the_point(self):
+        with pytest.raises(ValueError, match=re.escape(str(self.outside))):
+            self.trunc.down_closure([self.trunc.points[0], self.outside])
+
+
+def test_covers_of_a_total_order_at_the_budget():
+    total = build_poset(range(poset.POINT_BUDGET), operator.le)
+    assert total.covers == tuple((i, i + 1) for i in range(poset.POINT_BUDGET - 1))
+    assert total.minimal() == [0]
+    assert total.maximal() == [poset.POINT_BUDGET - 1]
 
 
 class TestBudget:

@@ -3,7 +3,9 @@ DOT/JSON/text, blueshift distances, vanishing queries, and ideal counts.
 
 All output is byte-deterministic for fixed flags: node orders are sorted,
 no floats are printed, and JSON uses fixed separators.  Exit codes:
-0 success, 1 verification failure, 2 budget or usage error.
+0 success, 1 verification failure, 2 budget or usage error, or a
+missing optional dependency (numpy, for `mu --method brute` and
+`mu --all`).
 """
 
 from __future__ import annotations
@@ -338,7 +340,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BudgetError, ValueError) as exc:
+    except (BudgetError, ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

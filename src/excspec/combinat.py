@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
-import numpy as np
-
 __all__ = [
     "INF",
     "NatInfinity",
@@ -207,17 +205,27 @@ def surjections(i: int, j: int) -> int:
 # good-subset counts mu(i, j, k)
 # ---------------------------------------------------------------------------
 
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
 
 @lru_cache(maxsize=None)
 def _mu_brute_table(i: int, j: int) -> tuple[int, ...]:
     """Tally, by cardinality, of the subsets of the i x j grid whose two
     projections are both surjective, by sweeping all 2**(i*j) bitmasks.
 
-    Entry k of the returned tuple is mu(i, j, k).  Vectorized with numpy
-    for speed; all quantities fit in 64-bit counters since i*j <= 20.
+    Entry k of the returned tuple is mu(i, j, k).  Vectorized with numpy,
+    the optional ``oracle`` dependency: this is the package's only numpy
+    user, and numpy is imported here on the first call, so no other
+    query pays for its import.  All quantities fit in 64-bit counters
+    since i*j <= 20.
     """
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ImportError(
+            "mu_brute needs numpy, which could not be imported "
+            "(pip install 'excspec[oracle]')"
+        ) from exc
+
+    popcount8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
     cells = i * j
     v = np.arange(1 << cells, dtype=np.uint32)
     good = np.ones(v.shape, dtype=bool)
@@ -229,9 +237,9 @@ def _mu_brute_table(i: int, j: int) -> tuple[int, ...]:
         good &= (v & col_mask) != 0
     v = v[good]
     sizes = (
-        _POPCOUNT8[v & 0xFF]
-        + _POPCOUNT8[(v >> np.uint32(8)) & 0xFF]
-        + _POPCOUNT8[(v >> np.uint32(16)) & 0xFF]
+        popcount8[v & 0xFF]
+        + popcount8[(v >> np.uint32(8)) & 0xFF]
+        + popcount8[(v >> np.uint32(16)) & 0xFF]
     )
     tally = np.bincount(sizes, minlength=cells + 1)
     return tuple(int(t) for t in tally)
@@ -240,7 +248,7 @@ def _mu_brute_table(i: int, j: int) -> tuple[int, ...]:
 def mu_brute(i: int, j: int, k: int) -> int:
     """Count size-k subsets of the i x j grid projecting onto both
     factors, by exhaustive enumeration.  Oracle method; requires
-    i*j <= 20."""
+    i*j <= 20, and numpy (the ``oracle`` extra) once within that budget."""
     if i < 1 or j < 1 or k < 1:
         raise ValueError("mu_brute requires i, j, k >= 1")
     if i * j > MU_BRUTE_CELL_BUDGET:

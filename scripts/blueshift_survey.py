@@ -8,9 +8,10 @@ partitions the (k, l) plane.
 """
 
 import argparse
+import sys
 
 from excspec.classify import enumerate_p_admissible
-from excspec.combinat import check_window, delta_p
+from excspec.combinat import BudgetError, check_window, delta_p
 
 
 def main() -> int:
@@ -27,19 +28,23 @@ def main() -> int:
     except ValueError as exc:
         parser.error(f"bad --primes {args.primes!r}: {exc}")
 
-    print("p,k,l,delta")
-    for p in primes:
-        for k in range(1, args.kmax + 1):
-            for l in range(1, k + 1):
-                value = delta_p(p, k, l)
-                print(f"{p},{k},{l},{value}")
+    try:
+        print("p,k,l,delta")
+        for p in primes:
+            for k in range(1, args.kmax + 1):
+                for l in range(1, k + 1):
+                    value = delta_p(p, k, l)
+                    print(f"{p},{k},{l},{value}")
 
-    print()
-    print("d,p,hmax,count")
-    for p in primes:
-        for d in range(1, args.dmax + 1):
-            count, _ = enumerate_p_admissible(d, p, args.hmax)
-            print(f"{d},{p},{args.hmax},{count}")
+        print()
+        print("d,p,hmax,count")
+        for p in primes:
+            for d in range(1, args.dmax + 1):
+                count, _ = enumerate_p_admissible(d, p, args.hmax)
+                print(f"{d},{p},{args.hmax},{count}")
+    except (BudgetError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

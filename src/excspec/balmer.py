@@ -11,8 +11,8 @@ does not divide the gap.
 
 Truncations materialize the finitely many points with height at most
 Hmax (plus, optionally, the height-infinity points, which Thomason
-bookkeeping must treat specially) together with the full containment
-relation.
+bookkeeping must treat specially) together with the containment order,
+stored as each point's up-set bitset.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def b_leq(a: BalmerPrime, b: BalmerPrime) -> bool:
 class SpectrumTruncation(Poset):
     """All canonical points of the degree-d spectrum with height in
     {1..hmax} (plus infinity when flagged) over a finite prime set,
-    together with the precomputed containment relation."""
+    together with the containment order as up-set bitsets."""
 
     d: int
     primes: tuple[int, ...]
@@ -128,7 +128,7 @@ def b_truncation(
     poset = build_poset(points, b_leq)
     return SpectrumTruncation(
         points=poset.points,
-        relation=poset.relation,
+        above=poset.above,
         d=d,
         primes=prime_tuple,
         hmax=hmax,

@@ -47,6 +47,13 @@ class TruncationError(Exception):
     threshold function faithfully."""
 
 
+def _check_thresholds(values) -> None:
+    """Raise unless every value is a non-negative int (not a bool) or INF."""
+    for v in values:
+        if v is not INF and (type(v) is not int or v < 0):
+            raise ValueError(f"threshold must be an int >= 0 or INF, got {v!r}")
+
+
 @dataclass(frozen=True)
 class PAdmissibleFunction:
     """Threshold vector for a single characteristic: values[k-1] is the
@@ -60,6 +67,7 @@ class PAdmissibleFunction:
         check_window(self.d, (self.p,))
         if len(self.values) != self.d:
             raise ValueError("values length must equal d")
+        _check_thresholds(self.values)
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,7 @@ class AdmissibleFunction:
             raise ValueError("need one row of values per prime")
         if any(len(row) != self.d for row in self.values):
             raise ValueError("values length must equal d")
+        _check_thresholds(v for row in self.values for v in row)
 
     def value(self, k: int, p: int) -> NatInfinity:
         return self.values[self.primes.index(p)][k - 1]
@@ -145,10 +154,8 @@ def is_admissible(f: AdmissibleFunction) -> bool:
 def validate_thomason(points: frozenset, trunc: SpectrumTruncation) -> None:
     """Raise with a witness point unless `points` is a valid Thomason
     subset of the truncation: specialization-closed, with every member
-    lying under some finite-height member."""
-    for pt in points:
-        if pt not in trunc:
-            raise ValueError(f"point {pt} not in truncation")
+    lying under some finite-height member.  `down_closure` rejects a
+    point outside the truncation."""
     missing = trunc.down_closure(points) - points
     if missing:
         a = next(q for q in trunc.points if q in missing)
@@ -284,8 +291,6 @@ def thomason_union_closure(
     for s in seed_list:
         if s.height is INF:
             raise ValueError(f"infinite-height seed {s} is not allowed")
-        if s not in trunc:
-            raise ValueError(f"seed {s} not in truncation")
     members = trunc.down_closure(seed_list)
     validate_thomason(members, trunc)
     return ThomasonSubset(trunc, members)

@@ -61,7 +61,7 @@ def poset_to_json(poset: Poset, point_dict) -> str:
     payload = {
         "points": [point_dict(node) for node in poset.points],
         "covers": [list(pair) for pair in poset.covers],
-        "relation": [list(pair) for pair in sorted(poset.relation)],
+        "relation": [list(pair) for pair in poset.relation],
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 

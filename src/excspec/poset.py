@@ -1,11 +1,11 @@
 """Finite poset value object shared by the spectrum modules: point list,
-full order relation, and Hasse cover edges.  The relation is the source
-of truth.  Covers, down-sets, minimal and maximal points all read one
-derived form of it, the strict up-set of each point as a Python-int
-bitset (bit b of `above[a]` is set iff a < b), built once in O(|R|).
-Covers exist for readable diagram output and are computed on first use.
-`build_poset` is the one way a spectrum becomes a Poset, and it owns the
-point budget of the quadratic relation sweep."""
+order, and Hasse cover edges.  The order is stored in one form, the
+strict up-set of each point as a Python-int bitset (bit b of `above[a]`
+is set iff a < b).  `leq`, covers, down-sets, minimal and maximal points
+read it, and the index-pair `relation` is derived from it.  Covers and
+the relation are computed on first use.  `build_poset` is the one way a
+spectrum becomes a Poset, and it owns the point budget of the quadratic
+order sweep."""
 
 from __future__ import annotations
 
@@ -23,12 +23,12 @@ POINT_BUDGET = 1200  # most points a poset materializes (quadratic sweep)
 
 @dataclass(frozen=True)
 class Poset:
-    """Immutable finite poset.  `relation` holds every ordered pair
-    (a, b) with point a <= point b and a != b, as indices into `points`;
-    `covers` is its transitive reduction."""
+    """Immutable finite poset over `points`.  Bit b of `above[a]` is set
+    iff point a < point b (indices into `points`); `relation` lists those
+    pairs and `covers` is its transitive reduction."""
 
     points: tuple
-    relation: frozenset = field(repr=False)
+    above: tuple[int, ...] = field(repr=False)
 
     @cached_property
     def _index(self) -> dict:
@@ -45,15 +45,16 @@ class Poset:
         i, j = self._index.get(a), self._index.get(b)
         if i is None or j is None:
             return False
-        return i == j or (i, j) in self.relation
+        return i == j or bool(self.above[i] >> j & 1)
+
+    @cached_property
+    def relation(self) -> tuple:
+        """Every index pair (a, b) with point a < point b, ascending."""
+        return tuple((a, b) for a, up in enumerate(self.above) for b in _bits(up))
 
     @cached_property
     def covers(self) -> tuple:
-        return transitive_reduction(len(self.points), self.relation)
-
-    @cached_property
-    def _above(self) -> list:
-        return _up_sets(len(self.points), self.relation)
+        return transitive_reduction(self.above)
 
     def down_closure(self, seeds: Iterable) -> frozenset:
         """All points lying under at least one seed (seeds included).
@@ -65,27 +66,18 @@ class Poset:
             mask |= 1 << index[s]
         return frozenset(
             pt
-            for i, (pt, up) in enumerate(zip(self.points, self._above))
+            for i, (pt, up) in enumerate(zip(self.points, self.above))
             if (up | 1 << i) & mask
         )
 
     def minimal(self) -> list:
         has_below = 0
-        for up in self._above:
+        for up in self.above:
             has_below |= up
         return [pt for i, pt in enumerate(self.points) if not has_below >> i & 1]
 
     def maximal(self) -> list:
-        return [pt for pt, up in zip(self.points, self._above) if not up]
-
-
-def _up_sets(n: int, relation: frozenset) -> list:
-    """Strict up-set bitsets of a strict order on range(n): bit b of
-    entry a is set iff (a, b) is in `relation`."""
-    above = [0] * n
-    for a, b in relation:
-        above[a] |= 1 << b
-    return above
+        return [pt for pt, up in zip(self.points, self.above) if not up]
 
 
 def _bits(x: int):
@@ -96,16 +88,15 @@ def _bits(x: int):
         x ^= low
 
 
-def transitive_reduction(n: int, relation: frozenset) -> tuple:
-    """Cover pairs of a strict order given as index pairs, ascending:
-    (a, b) is a cover iff a < b with no c strictly between.  The covers
-    of a are its strict up-set `above[a]`, a bitset, minus the union of
-    `above[c]` over every c in `above[a]`; a c already in that union adds
-    nothing by transitivity and is skipped.  Building the bitsets and the
-    unions costs at most one OR of n-bit integers per relation pair:
-    O(|R|) operations of about n/64 machine words each, against O(|R|·n)
-    steps for testing every point as a middle point of every pair."""
-    above = _up_sets(n, relation)
+def transitive_reduction(above: tuple[int, ...]) -> tuple:
+    """Cover pairs of a strict order given as strict up-set bitsets,
+    ascending: (a, b) is a cover iff a < b with no c strictly between.
+    The covers of a are `above[a]` minus the union of `above[c]` over
+    every c in `above[a]`; a c already in that union adds nothing by
+    transitivity and is skipped.  The unions cost at most one OR of n-bit
+    integers per relation pair: O(|R|) operations of about n/64 machine
+    words each, against O(|R|·n) steps for testing every point as a
+    middle point of every pair."""
     covers = []
     for a, up in enumerate(above):
         through, rest = 0, up
@@ -119,17 +110,16 @@ def transitive_reduction(n: int, relation: frozenset) -> tuple:
 
 def build_poset(nodes: Iterable, leq: Callable) -> Poset:
     """Assemble a Poset from ordered points and a reflexive order
-    predicate, by one sweep over all ordered pairs.  At most
-    POINT_BUDGET + 1 points are read, so an oversized window raises
-    BudgetError before any pair is compared.  Point order is preserved,
-    so deterministic input order yields deterministic serialization."""
+    predicate: one sweep over all ordered pairs adds bit j to row i when
+    point i < point j.  At most POINT_BUDGET + 1 points are read, so an
+    oversized window raises BudgetError before any pair is compared.  Point
+    order is preserved, so deterministic input order yields deterministic
+    serialization."""
     points = tuple(islice(nodes, POINT_BUDGET + 1))
     if len(points) > POINT_BUDGET:
         raise BudgetError(f"poset budget exceeded: more than {POINT_BUDGET} points")
-    relation = frozenset(
-        (i, j)
+    above = tuple(
+        sum(1 << j for j, b in enumerate(points) if i != j and leq(a, b))
         for i, a in enumerate(points)
-        for j, b in enumerate(points)
-        if i != j and leq(a, b)
     )
-    return Poset(points=points, relation=relation)
+    return Poset(points=points, above=above)

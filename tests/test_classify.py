@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,14 @@ class TestPAdmissible:
     def test_function_rejects_bad_window(self, d, p, values):
         with pytest.raises(ValueError):
             PAdmissibleFunction(d, p, values)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True], ids=repr)
+    def test_function_rejects_non_threshold_values(self, bad):
+        # (-1, 0) passes is_p_admissible and would round-trip to (1, 0)
+        with pytest.raises(ValueError, match="threshold"):
+            PAdmissibleFunction(2, 2, (bad, 0))
+        with pytest.raises(ValueError, match="threshold"):
+            AdmissibleFunction(2, (2, 3), ((0, 0), (1, bad)))
 
     def test_matches_brute_filter(self):
         for d, p, hmax in [(2, 2, 2), (3, 2, 1), (3, 3, 2)]:
@@ -182,6 +191,12 @@ class TestFunctionFromThomason:
         with pytest.raises(ValueError, match="specialization"):
             function_from_thomason(bad, trunc)
 
+    def test_rejects_point_outside_the_truncation(self):
+        trunc = b_truncation(2, [2], 2, True)
+        outside = balmer_prime(2, 1, 2, 3)  # above hmax
+        with pytest.raises(ValueError, match=re.escape(str(outside))):
+            function_from_thomason(frozenset({outside}), trunc)
+
     def test_rejects_floating_infinity_point(self):
         trunc = b_truncation(1, [2], 2, True)
         bad = frozenset({balmer_prime(1, 1, 2, INF)})
@@ -294,6 +309,12 @@ class TestUnionClosure:
         trunc = b_truncation(2, [2], 2, True)
         with pytest.raises(ValueError):
             thomason_union_closure([balmer_prime(2, 1, 2, INF)], trunc)
+
+    def test_rejects_seed_outside_the_truncation(self):
+        trunc = b_truncation(2, [2], 2, True)
+        outside = balmer_prime(2, 1, 2, 3)  # above hmax
+        with pytest.raises(ValueError, match=re.escape(str(outside))):
+            thomason_union_closure([outside], trunc)
 
     def test_seeds_on_every_column_cover_finite_region(self):
         trunc = b_truncation(2, [2], 3, True)

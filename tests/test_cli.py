@@ -317,6 +317,27 @@ class TestSurveyScript:
             "1,3,3,5", "1,2,3,5",
         ]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--hmax", "-1"], "need hmax >= 0"),
+            (["--dmax", "12", "--hmax", "9", "--primes", "2"], "budget exceeded"),
+        ],
+        ids=["negative-hmax", "over-budget"],
+    )
+    def test_bad_window_exits_2_without_traceback(self, argv, message):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, str(self.SCRIPT), *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and message in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
     def test_drops_repeated_primes(self, monkeypatch, capsys):
         code, out, _ = self.run(monkeypatch, capsys, "--primes", "2,2", "--kmax", "1", "--dmax", "1")
         assert code == 0

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excspec import poset
-from excspec.balmer import BalmerPrime, b_truncation
+from excspec.balmer import BalmerPrime, b_leq, b_truncation
 from excspec.combinat import BudgetError
-from excspec.hzspec import hz_poset
+from excspec.hzspec import hz_leq, hz_poset
 from excspec.poset import Poset, build_poset
-from excspec.zariski import z_poset
+from excspec.zariski import z_leq, z_poset
 
 PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
 
@@ -81,7 +81,41 @@ class TestCoversAndDownSetsMatchDefinitions:
             for a in list(below[c]):
                 below[c] |= below[a]
         relation = frozenset((label[a], label[c]) for c in range(n) for a in below[c])
-        assert_matches_definitions(Poset(points=tuple(range(n)), relation=relation))
+        above = [0] * n
+        for a, c in relation:
+            above[a] |= 1 << c
+        pos = Poset(points=tuple(range(n)), above=tuple(above))
+        assert pos.relation == tuple(sorted(relation))
+        assert_matches_definitions(pos)
+
+
+class TestRelationMatchesPredicate:
+    """`relation` against the module's own order predicate, which never
+    reads the stored bitsets that `Poset.leq` reads."""
+
+    @staticmethod
+    def assert_relation_matches(pos: Poset, leq) -> None:
+        pts, relation = pos.points, pos.relation
+        assert all(x < y for x, y in zip(relation, relation[1:]))
+        assert relation == tuple(
+            (i, j)
+            for i, a in enumerate(pts)
+            for j, b in enumerate(pts)
+            if i != j and leq(a, b)
+        )
+
+    @pytest.mark.parametrize("args", CRITERIA_TRUNCATIONS, ids=str)
+    def test_criteria_truncations(self, args):
+        self.assert_relation_matches(b_truncation(*args), b_leq)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_zariski(self, d):
+        self.assert_relation_matches(z_poset(d, PRIMES_TO_13), z_leq)
+
+    @pytest.mark.parametrize("residue", [None, 0, 2, 13])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_hz(self, d, residue):
+        self.assert_relation_matches(hz_poset(d, PRIMES_TO_13, residue), hz_leq)
 
 
 class TestPointsOutside:

@@ -34,9 +34,7 @@ def test_result_counters_read_real_results(traced_child):
     assert hasattr(trunc, "points") and hasattr(trunc, "relation")
     counts = defaultdict(int)
     traced_child._count_truncation(counts, trunc, None)
-    traced_child._count_covers(
-        counts, poset.transitive_reduction(len(trunc.points), trunc.relation), None
-    )
+    traced_child._count_covers(counts, poset.transitive_reduction(trunc.above), None)
     assert counts["balmer.points"] == len(trunc.points) > 0
     assert counts["balmer.relation_pairs"] == len(trunc.relation) > 0
     assert counts["poset.covers"] == len(trunc.covers) > 0

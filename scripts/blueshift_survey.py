@@ -29,6 +29,8 @@ def main() -> int:
         parser.error(f"bad --primes {args.primes!r}: {exc}")
 
     try:
+        if args.hmax < 0:  # refused before the first row, as cli.main does
+            raise ValueError(f"need hmax >= 0, got {args.hmax}")
         print("p,k,l,delta")
         for p in primes:
             for k in range(1, args.kmax + 1):

@@ -12,13 +12,15 @@ does not divide the gap.
 Truncations materialize the finitely many points with height at most
 Hmax (plus, optionally, the height-infinity points, which Thomason
 bookkeeping must treat specially) together with the containment order,
-stored as each point's up-set bitset.
+stored as each point's up-set bitset.  The points of one layer and one
+prime form a chain in height, (k,p,INF) <= ... <= (k,p,2) <= (k,0,1),
+and the order sweep walks each such chain from the top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 from .combinat import INF, NatInfinity, check_window, delta_p, is_prime
 from .poset import Poset, build_poset
@@ -115,17 +117,20 @@ def b_truncation(
     if hmax < 1:
         raise ValueError("hmax must be >= 1")
     prime_tuple = check_window(d, primes)
-    # per layer: the rational point, then each prime's heights 2..hmax
-    # (and INF); lazy, so build_poset's budget bounds the work at any hmax
+    # one top-down chain per layer and prime, its heights 2..hmax (and
+    # INF); the layer's rational point heads the first prime's chain.
+    # Lazy, so build_poset's budget bounds the work at any hmax.
     heights = range(2, hmax + 1)
     tail = (INF,) if include_infinity else ()
-    points = (
-        BalmerPrime(k, c, h)
+    columns = (
+        chain(
+            (BalmerPrime(k, 0, 1),) if p == prime_tuple[0] else (),
+            map(BalmerPrime, repeat(k), repeat(p), chain(heights, tail)),
+        )
         for k in range(1, d + 1)
-        for c, hs in [(0, (1,)), *((p, chain(heights, tail)) for p in prime_tuple)]
-        for h in hs
+        for p in prime_tuple
     )
-    poset = build_poset(points, b_leq)
+    poset = build_poset(columns, b_leq)
     return SpectrumTruncation(
         points=poset.points,
         above=poset.above,

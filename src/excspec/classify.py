@@ -126,10 +126,8 @@ def is_p_admissible(values, p: int, d: int) -> bool:
     """Whether f(k) <= delta_p(k, l) + f(l) for every pair with
     p-1 | k-l >= 0.  This inequality *is* the classification condition;
     every other admissibility check routes through here or through the
-    same coupling table."""
-    values = tuple(values)
-    if len(values) != d:
-        raise ValueError("values length must equal d")
+    same coupling table.  The input is checked by PAdmissibleFunction."""
+    values = PAdmissibleFunction(d, p, tuple(values)).values
     for v, pairs in zip(values, _coupling_table(p, d)):
         for l, delta in pairs:
             if not v <= delta + values[l - 1]:

@@ -4,8 +4,8 @@ strict up-set of each point as a Python-int bitset (bit b of `above[a]`
 is set iff a < b).  `leq`, covers, down-sets, minimal and maximal points
 read it, and the index-pair `relation` is derived from it.  Covers and
 the relation are computed on first use.  `build_poset` is the one way a
-spectrum becomes a Poset, and it owns the point budget of the quadratic
-order sweep."""
+spectrum becomes a Poset: it sweeps the order chain by chain, and it
+owns the point budget of that quadratic sweep."""
 
 from __future__ import annotations
 
@@ -108,18 +108,36 @@ def transitive_reduction(above: tuple[int, ...]) -> tuple:
     return tuple(covers)
 
 
-def build_poset(nodes: Iterable, leq: Callable) -> Poset:
-    """Assemble a Poset from ordered points and a reflexive order
-    predicate: one sweep over all ordered pairs adds bit j to row i when
-    point i < point j.  At most POINT_BUDGET + 1 points are read, so an
-    oversized window raises BudgetError before any pair is compared.  Point
-    order is preserved, so deterministic input order yields deterministic
-    serialization."""
-    points = tuple(islice(nodes, POINT_BUDGET + 1))
-    if len(points) > POINT_BUDGET:
-        raise BudgetError(f"poset budget exceeded: more than {POINT_BUDGET} points")
-    above = tuple(
-        sum(1 << j for j, b in enumerate(points) if i != j and leq(a, b))
-        for i, a in enumerate(points)
-    )
-    return Poset(points=points, above=above)
+def build_poset(chains: Iterable[Iterable], leq: Callable) -> Poset:
+    """Assemble a Poset from points given as chains and a reflexive order
+    predicate.  Each chain lists its points from the top down, so each
+    point is <= the one before it; the point order is the chains
+    concatenated, so deterministic input yields deterministic
+    serialization.  Row a walks down each chain and stops at the first b
+    with not leq(a, b): by transitivity the up-set of a meets a chain in a
+    top segment, so the pruning is exact for any poset, and every bit
+    set is one that leq decided.  One-point chains give the plain sweep
+    over all ordered pairs.  At most POINT_BUDGET + 1 points are read, so
+    an oversized window raises BudgetError before any pair is compared."""
+    runs, points = [], []
+    for run in chains:
+        run = tuple(islice(run, POINT_BUDGET + 1 - len(points)))
+        if run:
+            runs.append((len(points), run[0], run[1:]))
+            points.extend(run)
+        if len(points) > POINT_BUDGET:
+            raise BudgetError(f"poset budget exceeded: more than {POINT_BUDGET} points")
+    above = []
+    for i, a in enumerate(points):
+        up = 0
+        for start, head, rest in runs:
+            if start != i and not leq(a, head):
+                continue  # the common case: one call, no bit
+            j = start + 1
+            for b in rest:
+                if j != i and not leq(a, b):
+                    break
+                j += 1
+            up |= (1 << j) - (1 << start)
+        above.append(up & ~(1 << i))
+    return Poset(points=tuple(points), above=tuple(above))

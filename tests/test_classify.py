@@ -53,7 +53,7 @@ class TestPAdmissible:
         assert is_p_admissible((0, 1), 2, 2)
 
     def test_rejects_bad_window(self):
-        for values, p, d in [((5,), 4, 1), ((), 2, 0), ((0, 0), 1, 2)]:
+        for values, p, d in [((5,), 4, 1), ((), 2, 0), ((0, 0), 1, 2), ((0,), 2, 2)]:
             with pytest.raises(ValueError):
                 is_p_admissible(values, p, d)
 
@@ -70,8 +70,14 @@ class TestPAdmissible:
             PAdmissibleFunction(d, p, values)
 
     @pytest.mark.parametrize("bad", [-1, 1.5, True], ids=repr)
+    def test_rejects_non_threshold_values(self, bad):
+        for values in [(bad, 0), (1, bad)]:
+            with pytest.raises(ValueError, match="threshold"):
+                is_p_admissible(values, 2, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True], ids=repr)
     def test_function_rejects_non_threshold_values(self, bad):
-        # (-1, 0) passes is_p_admissible and would round-trip to (1, 0)
+        # (-1, 0) would otherwise round-trip to (1, 0)
         with pytest.raises(ValueError, match="threshold"):
             PAdmissibleFunction(2, 2, (bad, 0))
         with pytest.raises(ValueError, match="threshold"):

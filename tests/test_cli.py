@@ -338,6 +338,12 @@ class TestSurveyScript:
         assert done.stderr.startswith("error:") and message in done.stderr
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
+    def test_negative_hmax_prints_no_row(self, monkeypatch, capsys):
+        code, out, err = self.run(monkeypatch, capsys, "--hmax", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: need hmax >= 0, got -1\n"
+
     def test_drops_repeated_primes(self, monkeypatch, capsys):
         code, out, _ = self.run(monkeypatch, capsys, "--primes", "2,2", "--kmax", "1", "--dmax", "1")
         assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excspec import poset
+from excspec import balmer, poset
 from excspec.balmer import BalmerPrime, b_leq, b_truncation
 from excspec.combinat import BudgetError
 from excspec.hzspec import hz_leq, hz_poset
@@ -90,8 +90,10 @@ class TestCoversAndDownSetsMatchDefinitions:
 
 
 class TestRelationMatchesPredicate:
-    """`relation` against the module's own order predicate, which never
-    reads the stored bitsets that `Poset.leq` reads."""
+    """`relation` against the module's own order predicate over every
+    ordered pair, which never reads the stored bitsets that `Poset.leq`
+    reads: the unpruned sweep, oracle for `build_poset`'s chain walk,
+    which stops each chain at its first miss."""
 
     @staticmethod
     def assert_relation_matches(pos: Poset, leq) -> None:
@@ -104,7 +106,9 @@ class TestRelationMatchesPredicate:
             if i != j and leq(a, b)
         )
 
-    @pytest.mark.parametrize("args", CRITERIA_TRUNCATIONS, ids=str)
+    @pytest.mark.parametrize(
+        "args", CRITERIA_TRUNCATIONS + [(600, (2,), 2, False)], ids=str
+    )
     def test_criteria_truncations(self, args):
         self.assert_relation_matches(b_truncation(*args), b_leq)
 
@@ -116,6 +120,58 @@ class TestRelationMatchesPredicate:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_hz(self, d, residue):
         self.assert_relation_matches(hz_poset(d, PRIMES_TO_13, residue), hz_leq)
+
+    def test_one_point_chains_compare_every_ordered_pair_once(self):
+        pairs = []
+
+        def leq(a, b):
+            pairs.append((a, b))
+            return a <= b
+
+        build_poset(((i,) for i in range(6)), leq)
+        assert sorted(pairs) == [(a, b) for a in range(6) for b in range(6) if a != b]
+
+    @pytest.mark.parametrize("args", CRITERIA_TRUNCATIONS, ids=str)
+    def test_truncation_runs_are_top_down_chains(self, monkeypatch, args):
+        runs = []
+
+        def spy(chains, leq):
+            runs.extend(tuple(run) for run in chains)
+            return build_poset(runs, leq)
+
+        monkeypatch.setattr(balmer, "build_poset", spy)
+        trunc = b_truncation(*args)
+        assert trunc.points == tuple(pt for run in runs for pt in run)
+        for run in runs:
+            assert all(b_leq(b, a) for a, b in zip(run, run[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_orders_and_chains(self, data):
+        """A random order on range(n), in which x < y only if x < y as
+        ints, cut into chains greedily from the top: each point joins the
+        first chain whose lowest point lies above it."""
+        n = data.draw(st.integers(0, 30))
+        vertex = st.integers(0, max(n - 1, 0))
+        edges = data.draw(st.sets(st.tuples(vertex, vertex)))
+        up = [{b for a, b in edges if a == c < b} for c in range(n)]
+        for c in reversed(range(n)):  # every b in up[c] is > c, so already closed
+            for b in list(up[c]):
+                up[c] |= up[b]
+
+        def leq(a, b):
+            return a == b or b in up[a]
+
+        runs = []
+        for c in reversed(range(n)):
+            run = next((r for r in runs if leq(c, r[-1])), None)
+            if run is None:
+                runs.append([c])
+            else:
+                run.append(c)
+        pos = build_poset(runs, leq)
+        assert pos.points == tuple(c for run in runs for c in run)
+        self.assert_relation_matches(pos, leq)
 
 
 class TestPointsOutside:
@@ -135,7 +191,7 @@ class TestPointsOutside:
 
 
 def test_covers_of_a_total_order_at_the_budget():
-    total = build_poset(range(poset.POINT_BUDGET), operator.le)
+    total = build_poset(((i,) for i in range(poset.POINT_BUDGET)), operator.le)
     assert total.covers == tuple((i, i + 1) for i in range(poset.POINT_BUDGET - 1))
     assert total.minimal() == [0]
     assert total.maximal() == [poset.POINT_BUDGET - 1]
@@ -169,5 +225,9 @@ class TestBudget:
         monkeypatch.setattr(poset, "POINT_BUDGET", 5)
         nodes = itertools.count()
         with pytest.raises(BudgetError):
-            build_poset(nodes, leq)
+            build_poset([nodes], leq)
         assert next(nodes) == 6  # read budget + 1 points, no more
+        nodes = itertools.count()
+        with pytest.raises(BudgetError):
+            build_poset(((i,) for i in nodes), leq)
+        assert next(nodes) == 6

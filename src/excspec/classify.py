@@ -28,7 +28,6 @@ from .combinat import INF, BudgetError, NatInfinity, check_window, delta_p
 __all__ = [
     "PAdmissibleFunction",
     "AdmissibleFunction",
-    "ThomasonSubset",
     "TruncationError",
     "is_p_admissible",
     "is_admissible",
@@ -47,17 +46,10 @@ class TruncationError(Exception):
     threshold function faithfully."""
 
 
-def _check_thresholds(values) -> None:
-    """Raise unless every value is a non-negative int (not a bool) or INF."""
-    for v in values:
-        if v is not INF and (type(v) is not int or v < 0):
-            raise ValueError(f"threshold must be an int >= 0 or INF, got {v!r}")
-
-
 @dataclass(frozen=True)
 class PAdmissibleFunction:
     """Threshold vector for a single characteristic: values[k-1] is the
-    cut height at layer k."""
+    cut height at layer k, a non-negative int (not a bool) or INF."""
 
     d: int
     p: int
@@ -67,7 +59,9 @@ class PAdmissibleFunction:
         check_window(self.d, (self.p,))
         if len(self.values) != self.d:
             raise ValueError("values length must equal d")
-        _check_thresholds(self.values)
+        for v in self.values:
+            if v is not INF and (type(v) is not int or v < 0):
+                raise ValueError(f"threshold must be an int >= 0 or INF, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -85,29 +79,14 @@ class AdmissibleFunction:
         check_window(self.d, self.primes)
         if len(self.values) != len(self.primes):
             raise ValueError("need one row of values per prime")
-        if any(len(row) != self.d for row in self.values):
-            raise ValueError("values length must equal d")
-        _check_thresholds(v for row in self.values for v in row)
+        for p, row in zip(self.primes, self.values):
+            PAdmissibleFunction(self.d, p, row)
 
     def value(self, k: int, p: int) -> NatInfinity:
         return self.values[self.primes.index(p)][k - 1]
 
     def restrict(self, p: int) -> PAdmissibleFunction:
         return PAdmissibleFunction(self.d, p, self.values[self.primes.index(p)])
-
-
-@dataclass(frozen=True)
-class ThomasonSubset:
-    """A validated specialization-closed point set inside a truncation."""
-
-    truncation: SpectrumTruncation
-    points: frozenset
-
-    def __contains__(self, point: BalmerPrime) -> bool:
-        return point in self.points
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @lru_cache(maxsize=None)
@@ -122,31 +101,35 @@ def _coupling_table(p: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(table)
 
 
+def _ceiling(pairs, values) -> NatInfinity:
+    """The largest threshold a layer admits, given the values of the
+    earlier layers its coupling-table entry `pairs` names: the minimum
+    of delta_p(k, l) + f(l), and INF when there are none.  This is the
+    admissibility inequality f(k) <= delta_p(k, l) + f(l), stated once."""
+    return min([delta + values[l - 1] for l, delta in pairs]) if pairs else INF
+
+
 def is_p_admissible(values, p: int, d: int) -> bool:
-    """Whether f(k) <= delta_p(k, l) + f(l) for every pair with
-    p-1 | k-l >= 0.  This inequality *is* the classification condition;
-    every other admissibility check routes through here or through the
-    same coupling table.  The input is checked by PAdmissibleFunction."""
+    """Whether every value is at most its layer's ceiling, that is,
+    f(k) <= delta_p(k, l) + f(l) for every pair with p-1 | k-l >= 0.
+    The input is checked by PAdmissibleFunction."""
     values = PAdmissibleFunction(d, p, tuple(values)).values
-    for v, pairs in zip(values, _coupling_table(p, d)):
-        for l, delta in pairs:
-            if not v <= delta + values[l - 1]:
-                return False
-    return True
+    return all(
+        v <= _ceiling(pairs, values)
+        for v, pairs in zip(values, _coupling_table(p, d))
+    )
 
 
 def is_admissible(f: AdmissibleFunction) -> bool:
     """Both classification conditions: the per-prime inequality, and
     coherence of zero values across primes (a zero cut at layer k for
     one prime forces it for all, since the height-1 point is shared)."""
-    for p in f.primes:
-        if not is_p_admissible(f.values[f.primes.index(p)], p, f.d):
-            return False
-    for k in range(1, f.d + 1):
-        column = [f.value(k, p) for p in f.primes]
-        if any(v == 0 for v in column) and not all(v == 0 for v in column):
-            return False
-    return True
+    if not all(is_p_admissible(row, p, f.d) for p, row in zip(f.primes, f.values)):
+        return False
+    return all(
+        all(v == 0 for v in column) or not any(v == 0 for v in column)
+        for column in zip(*f.values)
+    )
 
 
 def validate_thomason(points: frozenset, trunc: SpectrumTruncation) -> None:
@@ -173,7 +156,7 @@ def _as_admissible(f) -> AdmissibleFunction:
     raise TypeError(f"expected an admissible function, got {type(f)!r}")
 
 
-def thomason_from_function(f, trunc: SpectrumTruncation) -> ThomasonSubset:
+def thomason_from_function(f, trunc: SpectrumTruncation) -> frozenset:
     """The point set cut out by a threshold function: points of height
     strictly above the threshold of their column.  Rejects non-admissible
     input; raises :class:`TruncationError` when the window is too small
@@ -199,7 +182,7 @@ def thomason_from_function(f, trunc: SpectrumTruncation) -> ThomasonSubset:
         raise TruncationError(
             f"threshold function is not visible at hmax={trunc.hmax}: {exc}"
         ) from exc
-    return ThomasonSubset(trunc, members)
+    return members
 
 
 def function_from_thomason(Y, trunc: SpectrumTruncation) -> AdmissibleFunction:
@@ -207,7 +190,7 @@ def function_from_thomason(Y, trunc: SpectrumTruncation) -> AdmissibleFunction:
     one less than the minimal finite member height of each column, with
     Hmax for a column whose only member is the height-infinity point
     (the window boundary) and infinity for an empty column."""
-    points = Y.points if isinstance(Y, ThomasonSubset) else frozenset(Y)
+    points = frozenset(Y)
     validate_thomason(points, trunc)
     rows = []
     for p in trunc.primes:
@@ -240,8 +223,8 @@ def enumerate_p_admissible(
     """Count (and optionally list) the threshold vectors over the value
     set {0, ..., hmax, inf} satisfying the per-prime inequality.
 
-    Enumerates recursively, checking each new layer against the earlier
-    ones its coupling-table entry names; since the inequality always
+    Enumerates recursively: each new layer takes the domain values up to
+    its ceiling over the earlier layers; since the inequality always
     bounds the larger layer, pruning is exact.  The list is ascending
     (lexicographic, inf last).
     """
@@ -265,23 +248,19 @@ def enumerate_p_admissible(
             if with_list:
                 found.append(tuple(prefix))
             return
-        pairs = table[k]
-        for v in domain:
-            for l, delta in pairs:
-                if not v <= delta + prefix[l - 1]:
-                    break
-            else:
-                prefix.append(v)
-                extend(prefix)
-                prefix.pop()
+        # domain[v] == v for finite v, so the values up to a finite
+        # ceiling are the first min(ceiling, hmax) + 1 of the domain
+        ceiling = _ceiling(table[k], prefix)
+        for v in domain if ceiling is INF else domain[: min(ceiling, hmax) + 1]:
+            prefix.append(v)
+            extend(prefix)
+            prefix.pop()
 
     extend([])
     return (count, found) if with_list else (count, None)
 
 
-def thomason_union_closure(
-    seeds, trunc: SpectrumTruncation
-) -> ThomasonSubset:
+def thomason_union_closure(seeds, trunc: SpectrumTruncation) -> frozenset:
     """Union of the specialization-closures of finite-height seed points;
     always a valid Thomason subset.  A height-infinity seed is rejected:
     its closure alone has no finite-height witness."""
@@ -291,4 +270,4 @@ def thomason_union_closure(
             raise ValueError(f"infinite-height seed {s} is not allowed")
     members = trunc.down_closure(seed_list)
     validate_thomason(members, trunc)
-    return ThomasonSubset(trunc, members)
+    return members

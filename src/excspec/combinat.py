@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 MU_BRUTE_CELL_BUDGET = 20  # enumerate all 2**(i*j) subsets only up to here
+MU_INCL_EXCL_CELL_BUDGET = 5000  # (i+1)(j+1) binomials of up to i*j bits each
+MU_STIRLING_K_BUDGET = 1000  # the signed Stirling row k costs ~k**2 big-int steps
 PARTITION_BUDGET = 64  # largest k for which p-power partitions are enumerated
 
 
@@ -265,9 +267,18 @@ def mu_incl_excl(i: int, j: int, k: int) -> int:
     """Good-subset count via the double alternating sum
 
         mu(i,j,k) = sum_{s,t >= 0} (-1)^(s+t) C((i-s)(j-t), k) C(i,s) C(j,t).
+
+    Zero at once outside max(i,j) <= k <= i*j, where no good subset
+    exists; within it, refused past i*j = MU_INCL_EXCL_CELL_BUDGET.
     """
     if i < 1 or j < 1 or k < 1:
         raise ValueError("mu_incl_excl requires i, j, k >= 1")
+    if not max(i, j) <= k <= i * j:
+        return 0
+    if i * j > MU_INCL_EXCL_CELL_BUDGET:
+        raise BudgetError(
+            f"mu_incl_excl budget exceeded: i*j = {i * j} > {MU_INCL_EXCL_CELL_BUDGET}"
+        )
     total = 0
     for s in range(i + 1):
         ci = math.comb(i, s)
@@ -284,13 +295,18 @@ def mu_stirling(i: int, j: int, k: int) -> int:
         mu(i,j,k) = sum_m surj(m,i) surj(m,j) s(k,m) / k!
 
     with nonzero terms only for max(i,j) <= m <= k.  The division must be
-    exact; a non-integral result signals an implementation bug.
+    exact; a non-integral result signals an implementation bug.  Refused
+    past k = MU_STIRLING_K_BUDGET.
     """
     if i < 1 or j < 1 or k < 1:
         raise ValueError("mu_stirling requires i, j, k >= 1")
     lo = max(i, j)
     if k < lo:
         return 0
+    if k > MU_STIRLING_K_BUDGET:
+        raise BudgetError(
+            f"mu_stirling budget exceeded: k = {k} > {MU_STIRLING_K_BUDGET}"
+        )
     numerator = 0
     for m in range(lo, k + 1):
         numerator += surjections(m, i) * surjections(m, j) * stirling1(k, m)

@@ -91,20 +91,18 @@ def hz_poset(d: int, primes: Iterable[int], residue: int | None = None) -> Poset
 def hz_admissible_subset(
     Y: Iterable[tuple[int, int]], d: int, primes: Iterable[int]
 ) -> bool:
-    """Closure test characterizing the Thomason subsets: membership of
-    (l, 0) forces membership of (k, p) for every prime p in scope with
-    p-1 | k-l >= 0, and membership of (l, p) forces the same for its own
-    prime.  Equivalent to specialization-closure in the containment
-    order."""
+    """Closure test characterizing the Thomason subsets: whether the
+    (layer, residue) pairs Y are specialization-closed in the
+    containment order :func:`hz_leq` on the points over the given
+    primes plus 0."""
     prime_tuple = check_window(d, primes)
-    members = {(k, r) for (k, r) in Y}
-    for k, r in members:
+    members = set()
+    for k, r in Y:
         if not 1 <= k <= d or r not in (0,) + prime_tuple:
             raise ValueError(f"point ({k},{r}) outside [d] x prime scope")
-    for l, r in members:
-        scope = prime_tuple if r == 0 else (r,)
-        for p in scope:
-            for k in range(l, d + 1):
-                if delta_p(p, k, l) is not INF and (k, p) not in members:
-                    return False
-    return True
+        members.add(HZPrime(k, r))
+    return all(
+        a in members
+        for a in hz_points(d, prime_tuple)
+        if any(hz_leq(a, b) for b in members)
+    )

@@ -18,7 +18,7 @@ from excspec.balmer import (
     tate_blueshift,
 )
 from excspec.combinat import INF, BudgetError, shortest_ppp_chain
-from excspec.zariski import ZariskiPrime, z_leq
+from excspec.zariski import ZariskiPrime, z_leq, z_poset
 
 
 class TestPoints:
@@ -168,6 +168,61 @@ class TestComparisonMap:
         for a, b in itertools.product(trunc.points, repeat=2):
             if trunc.leq(a, b):
                 assert z_leq(rho(b), rho(a)), (a, b)
+
+
+def same_layer_leq(a, b):
+    """Inside one layer: each prime's chromatic chain, listed from
+    height infinity up to height 2, sits under the rational point."""
+    return a == b or b.height == 1 or (a.char == b.char and a.height >= b.height)
+
+
+class TestLowDegreeTheorems:
+    """The degree-1 and degree-2 spectra stated as the published
+    theorems, without the blueshift distance."""
+
+    @pytest.mark.parametrize("primes", [[2], [2, 3], [2, 3, 5, 7]])
+    @pytest.mark.parametrize("hmax, inf", [(1, True), (4, True), (5, False)])
+    def test_degree_one_is_hopkins_smith(self, primes, hmax, inf):
+        # one chromatic chain per prime, joined at the rational point
+        trunc = b_truncation(1, primes, hmax, inf)
+        heights = list(range(2, hmax + 1)) + ([INF] if inf else [])
+        assert set(trunc.points) == {BalmerPrime(1, 0, 1)} | {
+            BalmerPrime(1, p, h) for p in primes for h in heights
+        }
+        for a, b in itertools.product(trunc.points, repeat=2):
+            assert trunc.leq(a, b) == same_layer_leq(a, b), (a, b)
+
+    @pytest.mark.parametrize("primes", [[2], [3], [2, 3, 5]])
+    @pytest.mark.parametrize("hmax, inf", [(1, True), (4, True), (5, False)])
+    def test_degree_two_is_the_c2_spectrum(self, primes, hmax, inf):
+        # at p = 2 the layer-2 point of height n+1 lies in the layer-1
+        # point of height n (the rational point when n = 1); at odd p
+        # the two layers do not meet
+        trunc = b_truncation(2, primes, hmax, inf)
+        for a, b in itertools.product(trunc.points, repeat=2):
+            if a.layer == b.layer:
+                expected = same_layer_leq(a, b)
+            else:
+                expected = (
+                    (a.layer, b.layer) == (2, 1)
+                    and a.char == 2
+                    and b.char in (0, 2)
+                    and a.height >= b.height + 1
+                )
+            assert trunc.leq(a, b) == expected, (a, b)
+
+
+class TestRhoOntoZariski:
+    @pytest.mark.parametrize("primes", [[2], [3], [2, 3], [2, 3, 5]])
+    def test_rho_maps_every_truncation_onto_z_poset_reversing_order(self, primes):
+        for d in range(1, 9):
+            for hmax, inf in ((1, True), (3, False), (2, True)):
+                trunc = b_truncation(d, primes, hmax, inf)
+                zpos = z_poset(d, primes)
+                assert {rho(a) for a in trunc.points} == set(zpos.points)
+                for i, j in trunc.relation:
+                    a, b = trunc.points[i], trunc.points[j]
+                    assert zpos.leq(rho(b), rho(a)), (a, b)
 
 
 class TestBlueshiftNumbers:

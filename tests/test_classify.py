@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -23,6 +24,23 @@ from excspec.combinat import INF, BudgetError, delta_p_brute
 
 def p_function(d, p, values):
     return PAdmissibleFunction(d, p, tuple(values))
+
+
+# Windows small enough for the brute filter: 15,153 vectors in all.
+BRUTE_WINDOWS = [(4, 2, 3), (5, 2, 2), (7, 2, 1), (5, 3, 3), (6, 3, 2), (6, 5, 2)]
+
+# (count, first 16 hex digits of the sha256 of repr(list)) that
+# enumerate_p_admissible gave when it checked the inequality pair by pair
+# for each candidate value, before the per-layer ceiling.
+PINNED_ENUMERATIONS = {
+    (8, 3, 4): (83485, "53c98662b917692a"),
+    (8, 3, 3): (27378, "c4fe400fc80c0115"),
+    (7, 3, 4): (25960, "741f428f41ce9969"),
+    (6, 3, 6): (33300, "21360e6eae8ef3a0"),
+    (10, 2, 3): (41160, "5f3dfcea5f190a4c"),
+    (6, 5, 4): (22500, "7d986122a8ad52d5"),
+    (5, 2, 3): (448, "66d8d261368401df"),
+}
 
 
 def brute_enumerate(d, p, hmax):
@@ -83,16 +101,16 @@ class TestPAdmissible:
         with pytest.raises(ValueError, match="threshold"):
             AdmissibleFunction(2, (2, 3), ((0, 0), (1, bad)))
 
-    def test_matches_brute_filter(self):
-        for d, p, hmax in [(2, 2, 2), (3, 2, 1), (3, 3, 2)]:
-            brute = set(brute_enumerate(d, p, hmax))
-            domain = tuple(range(hmax + 1)) + (INF,)
-            mine = {
-                v
-                for v in itertools.product(domain, repeat=d)
-                if is_p_admissible(v, p, d)
-            }
-            assert mine == brute
+    @pytest.mark.parametrize("d, p, hmax", [(2, 2, 2), (3, 2, 1), (3, 3, 2)] + BRUTE_WINDOWS)
+    def test_matches_brute_filter(self, d, p, hmax):
+        brute = set(brute_enumerate(d, p, hmax))
+        domain = tuple(range(hmax + 1)) + (INF,)
+        mine = {
+            v
+            for v in itertools.product(domain, repeat=d)
+            if is_p_admissible(v, p, d)
+        }
+        assert mine == brute
 
 
 class TestAdmissible:
@@ -150,13 +168,13 @@ class TestThomasonFromFunction:
     def test_constant_zero_gives_everything(self):
         trunc = b_truncation(2, [2], 3, True)
         Y = thomason_from_function(p_function(2, 2, (0, 0)), trunc)
-        assert Y.points == frozenset(trunc.points)
+        assert Y == frozenset(trunc.points)
 
     def test_mixed_thresholds(self):
         trunc = b_truncation(2, [2], 3, True)
         Y = thomason_from_function(p_function(2, 2, (1, 0)), trunc)
         layer2 = {q for q in trunc.points if q.layer == 2}
-        assert layer2 <= Y.points
+        assert layer2 <= Y
         assert balmer_prime(2, 1, 2, 2) in Y
         assert balmer_prime(2, 1, 2, 1) not in Y
 
@@ -181,7 +199,7 @@ class TestFunctionFromThomason:
         # the closure of the layer-2 height-2 point stays inside layer 2
         trunc = b_truncation(2, [2], 3, True)
         Y = thomason_union_closure([balmer_prime(2, 2, 2, 2)], trunc)
-        assert Y.points == frozenset(
+        assert Y == frozenset(
             {
                 balmer_prime(2, 2, 2, 2),
                 balmer_prime(2, 2, 2, 3),
@@ -218,7 +236,7 @@ class TestFunctionFromThomason:
         f = function_from_thomason(Y, trunc)
         assert f.values == ((0, 1),)
         back = thomason_from_function(f, trunc)
-        assert back.points == Y.points
+        assert back == Y
 
 
 class TestRoundTrip:
@@ -235,9 +253,8 @@ class TestRoundTrip:
                 Y = thomason_from_function(p_function(d, p, values), trunc)
             except TruncationError:
                 continue
-            frozen = Y.points
-            assert frozen not in visible.values()
-            visible[values] = frozen
+            assert Y not in visible.values()
+            visible[values] = Y
 
         # every valid subset of the truncation arises exactly once
         pts = list(trunc.points)
@@ -255,7 +272,7 @@ class TestRoundTrip:
         for values, members in visible.items():
             f = function_from_thomason(members, trunc)
             assert f.values == (values,)
-            assert thomason_from_function(f, trunc).points == members
+            assert thomason_from_function(f, trunc) == members
 
     def test_pointwise_order_reversal(self):
         d, p, hmax = 3, 2, 2
@@ -266,7 +283,7 @@ class TestRoundTrip:
             try:
                 shadows[values] = thomason_from_function(
                     p_function(d, p, values), trunc
-                ).points
+                )
             except TruncationError:
                 pass
         for f, g in itertools.product(shadows, repeat=2):
@@ -305,6 +322,115 @@ class TestEnumeration:
             assert all(a < b for a, b in zip(listed, listed[1:]))
             assert listed[-1] == (INF,) * d
 
+    @pytest.mark.parametrize("d, p, hmax", BRUTE_WINDOWS)
+    def test_list_is_the_brute_filter(self, d, p, hmax):
+        brute = brute_enumerate(d, p, hmax)
+        assert enumerate_p_admissible(d, p, hmax, with_list=True) == (len(brute), brute)
+
+    @pytest.mark.parametrize("window", sorted(PINNED_ENUMERATIONS))
+    def test_pinned_windows(self, window):
+        count, listed = enumerate_p_admissible(*window, with_list=True)
+        digest = hashlib.sha256(repr(listed).encode()).hexdigest()[:16]
+        assert (count, digest) == PINNED_ENUMERATIONS[window]
+        assert enumerate_p_admissible(*window) == (count, None)
+
+
+def visible(values, p, hmax):
+    """Whether a threshold vector is visible at hmax: each layer cut at
+    hmax has an earlier layer of its class mod p-1 cut below hmax."""
+    return all(
+        f != hmax or any(values[l - 1] < hmax for l in range(k - (p - 1), 0, -(p - 1)))
+        for k, f in enumerate(values, 1)
+    )
+
+
+def count_valid_down_sets(trunc):
+    """Count the valid Thomason subsets of a truncation from its up-set
+    bitsets alone: each point in turn is either taken with its down-set
+    or dropped with its up-set, and a down-set counts when every member
+    lies under a finite-height member."""
+    up = trunc.above
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        for j in range(mask.bit_length()):
+            if mask >> j & 1:
+                down[j] |= 1 << i
+    finite = [pt.height is not INF for pt in trunc.points]
+
+    def count(undecided, inside, covered):
+        if not undecided:
+            return inside & ~covered == 0
+        i = (undecided & -undecided).bit_length() - 1
+        closed = down[i] | 1 << i
+        taken = count(
+            undecided & ~closed, inside | closed, covered | closed if finite[i] else covered
+        )
+        return taken + count(undecided & ~(up[i] | 1 << i), inside, covered)
+
+    return count((1 << len(up)) - 1, 0, 0)
+
+
+class TestVisibleCount:
+    """The classification theorem past criterion 10's exhaustive d <= 3:
+    visible threshold functions and valid Thomason subsets, counted on
+    two independent routes."""
+
+    @pytest.mark.parametrize("d, p, hmax", [(5, 2, 3), (4, 3, 2), (3, 2, 1), (6, 5, 2)])
+    def test_visible_is_what_thomason_from_function_accepts(self, d, p, hmax):
+        trunc = b_truncation(d, [p], hmax, True)
+        for values in enumerate_p_admissible(d, p, hmax, with_list=True)[1]:
+            try:
+                thomason_from_function(p_function(d, p, values), trunc)
+                accepted = True
+            except TruncationError:
+                accepted = False
+            assert accepted == visible(values, p, hmax), values
+
+    @pytest.mark.parametrize(
+        "d, p, hmax, count",
+        [(8, 3, 4, 40365), (10, 3, 3, 81438), (7, 5, 3, 8788), (6, 2, 2, 272), (5, 2, 3, 288)],
+    )
+    def test_visible_functions_count_the_valid_subsets(self, d, p, hmax, count):
+        _, functions = enumerate_p_admissible(d, p, hmax, with_list=True)
+        assert sum(visible(f, p, hmax) for f in functions) == count
+        assert count_valid_down_sets(b_truncation(d, [p], hmax, True)) == count
+
+
+class TestHopkinsSmith:
+    """Degree 1: one threshold in {0..H, inf} per prime, coupled only by
+    zero coherence, and the valid Thomason subsets are the whole window
+    or one chromatic tail per prime."""
+
+    @pytest.mark.parametrize("primes, hmax", [((2, 3), 3), ((2, 3, 5), 2), ((7,), 4)])
+    def test_admissible_functions(self, primes, hmax):
+        domain = tuple(range(hmax + 1)) + (INF,)
+        for row in itertools.product(domain, repeat=len(primes)):
+            f = AdmissibleFunction(1, primes, tuple((v,) for v in row))
+            expected = all(v == 0 for v in row) or not any(v == 0 for v in row)
+            assert is_admissible(f) == expected, row
+
+    @pytest.mark.parametrize("primes, hmax", [((2, 3), 3), ((2, 3, 5), 2), ((2,), 5)])
+    def test_valid_subsets_are_chromatic_tails(self, primes, hmax):
+        trunc = b_truncation(1, list(primes), hmax, True)
+        pts = list(trunc.points)
+        valid = set()
+        for bits in range(1 << len(pts)):
+            members = frozenset(pts[i] for i in range(len(pts)) if bits >> i & 1)
+            try:
+                validate_thomason(members, trunc)
+            except ValueError:
+                continue
+            valid.add(members)
+        # a tail above a finite cut n < hmax, or nothing, per prime
+        tails = [
+            [frozenset(q for q in pts if q.char == p and q.height > n) for n in range(1, hmax)]
+            + [frozenset()]
+            for p in primes
+        ]
+        expected = {frozenset(pts)} | {frozenset().union(*c) for c in itertools.product(*tails)}
+        assert valid == expected
+        assert len(valid) == hmax ** len(primes) + 1
+
 
 class TestUnionClosure:
     def test_empty(self):
@@ -339,10 +465,10 @@ class TestUnionClosure:
         expected = frozenset(
             q for q in trunc.points if trunc.leq(q, seed)
         )
-        assert Y.points == expected
+        assert Y == expected
         # round-trips through the threshold function
         f = function_from_thomason(Y, trunc)
-        assert thomason_from_function(f, trunc).points == Y.points
+        assert thomason_from_function(f, trunc) == Y
 
     @given(bits=st.integers(min_value=0, max_value=(1 << 8) - 1))
     @settings(max_examples=80, deadline=None)
@@ -351,6 +477,6 @@ class TestUnionClosure:
         finite = [q for q in trunc.points if q.height is not INF]
         seeds = [finite[i] for i in range(len(finite)) if bits >> i & 1]
         Y = thomason_union_closure(seeds, trunc)
-        validate_thomason(Y.points, trunc)
+        validate_thomason(Y, trunc)
         f = function_from_thomason(Y, trunc)
-        assert thomason_from_function(f, trunc).points == Y.points
+        assert thomason_from_function(f, trunc) == Y

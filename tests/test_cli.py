@@ -65,6 +65,34 @@ class TestMu:
         assert code == 0, err
         assert out == run_cli(["mu", "30", "30", "600", "--method", "incl-excl"])[1]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["600", "600", "5"], ["1000", "1000", "1", "--method", "stirling"], ["9", "9", "82", "--all"]],
+    )
+    def test_empty_support_prints_zero_at_once(self, run_cli, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(["mu", *argv])
+        assert time.perf_counter() - start < 0.5
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] in ("0", "AGREE")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["1000", "1000", "1000"],
+            ["2", "2", "20000", "--method", "stirling"],
+            ["2", "2", "3000", "--method", "stirling"],
+            ["100", "100", "5000", "--all"],
+        ],
+    )
+    def test_refuses_past_the_formula_budgets(self, run_cli, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(["mu", *argv])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "budget exceeded" in err
+
 
 class TestRing:
     def test_table_contains_squaring_relation(self, run_cli):
@@ -348,6 +376,34 @@ class TestSurveyScript:
         code, out, _ = self.run(monkeypatch, capsys, "--primes", "2,2", "--kmax", "1", "--dmax", "1")
         assert code == 0
         assert out.splitlines() == ["p,k,l,delta", "2,1,1,0", "", "d,p,hmax,count", "1,2,3,5"]
+
+
+def readme_cli_examples():
+    """(argv, quoted output) for each `excspec ...` line of the README's
+    CLI block; the quoted output is every double-quoted string in the
+    line's comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for line in text.splitlines():
+        if line.startswith("excspec "):
+            command, _, comment = line.partition("#")
+            examples.append((command.split()[1:], comment.split('"')[1::2]))
+    return examples
+
+
+@pytest.mark.parametrize("argv, quoted", readme_cli_examples(), ids=lambda x: " ".join(x))
+def test_readme_cli_example(argv, quoted):
+    code, out, err = invoke_cli(argv)
+    assert code == 0, err
+    for text in quoted:
+        assert text in out
+
+
+def test_readme_lists_the_cli_examples():
+    examples = readme_cli_examples()
+    assert len(examples) == 14
+    assert ["x2*x2 = 2 x2 + 4 x3"] in [quoted for _, quoted in examples]
+    assert ["brute: skipped (budget)"] in [quoted for _, quoted in examples]
 
 
 class TestDeterminismAndValidity:

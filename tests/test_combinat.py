@@ -8,6 +8,8 @@ from excspec.balmer import geometric_blueshift, smith_holds, tate_blueshift
 from excspec.classify import is_p_admissible
 from excspec.combinat import (
     INF,
+    MU_INCL_EXCL_CELL_BUDGET,
+    MU_STIRLING_K_BUDGET,
     BudgetError,
     Partition,
     binomial,
@@ -137,6 +139,26 @@ class TestMu:
     @settings(max_examples=150, deadline=None)
     def test_symmetry(self, i, j, k):
         assert mu_incl_excl(i, j, k) == mu_incl_excl(j, i, k)
+
+    def test_incl_excl_is_zero_at_once_outside_the_support(self):
+        # no size-k subset projects onto both factors when k < max(i, j)
+        # or k > i*j; far past the cell budget these return without a sum
+        for i, j, k in [(600, 600, 5), (1000, 10, 999), (2, 3000, 2999), (40, 50, 2001)]:
+            assert mu_incl_excl(i, j, k) == 0
+
+    def test_incl_excl_cell_budget(self):
+        b = MU_INCL_EXCL_CELL_BUDGET
+        assert mu_incl_excl(1, b, b) == 1
+        for i, j, k in [(1, b + 1, b + 1), (1000, 1000, 1000), (2, b, b)]:
+            with pytest.raises(BudgetError, match="mu_incl_excl budget"):
+                mu_incl_excl(i, j, k)
+
+    def test_stirling_k_budget(self):
+        b = MU_STIRLING_K_BUDGET
+        assert mu_stirling(b + 1, 2, b) == 0  # k < max(i, j): no sum at all
+        for i, j, k in [(2, 2, b + 1), (2, 2, 20000), (30, 30, b + 1)]:
+            with pytest.raises(BudgetError, match="mu_stirling budget"):
+                mu_stirling(i, j, k)
 
 
 class TestPartitions:

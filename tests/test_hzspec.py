@@ -111,6 +111,26 @@ class TestAdmissibleSubsets:
             )
             assert got == closed
 
+    @pytest.mark.parametrize(
+        "d, primes",
+        [(4, [2, 3]), (3, [2, 3]), (4, [2]), (5, [3]), (6, [2]), (3, [2, 5]), (2, [2, 3, 5]),
+         (5, [2]), (4, [5])],
+    )
+    def test_matches_the_divisibility_rule_on_every_subset(self, d, primes):
+        # the closure rule spelled out by layer arithmetic: (l, 0) forces
+        # (k, p) for every prime p in scope with p-1 | k-l >= 0, and
+        # (l, p) forces the same for its own prime
+        pts = [(q.layer, q.residue) for q in hz_points(d, primes)]
+        for bits in range(1 << len(pts)):
+            members = {pts[i] for i in range(len(pts)) if bits >> i & 1}
+            closed = all(
+                (k, p) in members
+                for l, r in members
+                for p in (primes if r == 0 else [r])
+                for k in range(l, d + 1, p - 1)
+            )
+            assert hz_admissible_subset(members, d, primes) == closed, members
+
     def test_rejects_out_of_scope_points(self):
         with pytest.raises(ValueError):
             hz_admissible_subset([(9, 2)], 3, [2])

@@ -58,7 +58,7 @@ def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPr
     """Validated canonical point for the degree-d window."""
     if not 1 <= layer <= d:
         raise ValueError(f"layer {layer} out of range 1..{d}")
-    if height is not INF and height < 1:
+    if height < 1:
         raise ValueError("height must be >= 1")
     if height == 1:
         return BalmerPrime(layer, 0, 1)
@@ -89,7 +89,7 @@ def b_leq(a: BalmerPrime, b: BalmerPrime) -> bool:
         return False
     delta = delta_p(a.char, a.layer, b.layer)
     return (
-        delta is not INF
+        delta != INF
         and a.height >= b.height + delta
         and (b.height == 1 or a.char == b.char)
     )
@@ -157,7 +157,7 @@ def tate_blueshift(p: int, k: int, l: int, h: int) -> NatInfinity:
     collapse (value h) otherwise."""
     if k < l or l < 1:
         raise ValueError("tate_blueshift requires k >= l >= 1")
-    if h is INF or h < 1:
+    if h == INF or h < 1:
         raise ValueError("tate_blueshift requires finite h >= 1")
     return 1 if delta_p(p, k, l) == 1 else h
 
@@ -168,7 +168,7 @@ def geometric_blueshift(p: int, k: int, l: int) -> NatInfinity:
     if k < l or l < 1:
         raise ValueError("geometric_blueshift requires k >= l >= 1")
     delta = delta_p(p, k, l)
-    if delta is INF:
+    if delta == INF:
         raise ValueError(
             f"geometric_blueshift requires p-1 | k-l, got p={p}, k-l={k - l}"
         )

@@ -60,7 +60,7 @@ class PAdmissibleFunction:
         if len(self.values) != self.d:
             raise ValueError("values length must equal d")
         for v in self.values:
-            if v is not INF and (type(v) is not int or v < 0):
+            if v != INF and (type(v) is not int or v < 0):
                 raise ValueError(f"threshold must be an int >= 0 or INF, got {v!r}")
 
 
@@ -97,7 +97,7 @@ def _coupling_table(p: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     table = []
     for k in range(1, d + 1):
         deltas = ((l, delta_p(p, k, l)) for l in range(1, k))
-        table.append(tuple((l, delta) for l, delta in deltas if delta is not INF))
+        table.append(tuple((l, delta) for l, delta in deltas if delta != INF))
     return tuple(table)
 
 
@@ -140,9 +140,9 @@ def validate_thomason(points: frozenset, trunc: SpectrumTruncation) -> None:
     missing = trunc.down_closure(points) - points
     if missing:
         a = next(q for q in trunc.points if q in missing)
-        b = next(b for b in points if trunc.leq(a, b))
+        b = next(b for b in trunc.points if b in points and trunc.leq(a, b))
         raise ValueError(f"not specialization-closed: {a} lies under member {b}")
-    uncovered = points - trunc.down_closure(q for q in points if q.height is not INF)
+    uncovered = points - trunc.down_closure(q for q in points if q.height != INF)
     if uncovered:
         pt = next(q for q in trunc.points if q in uncovered)
         raise ValueError(f"member {pt} lies under no finite-height member")
@@ -200,7 +200,7 @@ def function_from_thomason(Y, trunc: SpectrumTruncation) -> AdmissibleFunction:
                 pt.height
                 for pt in points
                 if pt.layer == k
-                and pt.height is not INF
+                and pt.height != INF
                 and (pt.height == 1 or pt.char == p)
             ]
             if finite_heights:
@@ -251,7 +251,7 @@ def enumerate_p_admissible(
         # domain[v] == v for finite v, so the values up to a finite
         # ceiling are the first min(ceiling, hmax) + 1 of the domain
         ceiling = _ceiling(table[k], prefix)
-        for v in domain if ceiling is INF else domain[: min(ceiling, hmax) + 1]:
+        for v in domain if ceiling == INF else domain[: min(ceiling, hmax) + 1]:
             prefix.append(v)
             extend(prefix)
             prefix.pop()
@@ -266,7 +266,7 @@ def thomason_union_closure(seeds, trunc: SpectrumTruncation) -> frozenset:
     its closure alone has no finite-height witness."""
     seed_list = list(seeds)
     for s in seed_list:
-        if s.height is INF:
+        if s.height == INF:
             raise ValueError(f"infinite-height seed {s} is not allowed")
     members = trunc.down_closure(seed_list)
     validate_thomason(members, trunc)

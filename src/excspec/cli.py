@@ -214,7 +214,8 @@ def cmd_ideals(args) -> int:
         args.d, args.p, args.hmax, with_list=args.mode == "list", budget=budget
     )
     if args.mode == "list":
-        rows = [[str(v) for v in f] for f in functions]
+        # str(INF) makes a new string per call; share one
+        rows = [["inf" if v == INF else str(v) for v in f] for f in functions]
         if args.format == "json":
             print(json.dumps(rows, separators=(",", ":")))
         else:

@@ -2,10 +2,11 @@
 
 Everything here is arbitrary-precision integer arithmetic: surjection
 counts grow like i! and overflow 64-bit machine words near i = 21, so no
-fixed-width shortcut is taken anywhere.  Brute-force routines carry hard
-enumeration budgets and raise :class:`BudgetError` instead of silently
-truncating; they serve as oracles for the closed-form routines and must
-never lie.
+fixed-width shortcut is taken anywhere.  The one float here, INF, is
+math.inf: Python compares it exactly with ints of any size, and it
+absorbs addition.  Brute-force routines carry hard enumeration budgets
+and raise :class:`BudgetError` instead of silently truncating; they
+serve as oracles for the closed-form routines and must never lie.
 """
 
 from __future__ import annotations
@@ -49,76 +50,46 @@ class BudgetError(Exception):
     formula-based method instead."""
 
 
-class _Infinity:
-    """The top element of the naturals-with-infinity order.
+# The top of N with infinity.  A computed infinity (1 + INF) is a new
+# float object, so compare with ==, never with `is`.
+INF = math.inf
 
-    A distinct symbol rather than a sentinel integer: comparisons and
-    addition against ordinary ints behave like the order on N with a
-    greatest element (n < inf for all finite n, inf + n = inf, and
-    inf is not strictly below itself).
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __ne__(self, other):
-        return other is not self
-
-    def __hash__(self):
-        return hash("excspec-infinity")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "inf"
-
-    def __reduce__(self):
-        return (_Infinity, ())
+NatInfinity = Union[int, float]
 
 
-INF = _Infinity()
-
-NatInfinity = Union[int, _Infinity]
+# Miller-Rabin over the first 13 prime bases is exact below the smallest
+# strong pseudoprime to all of them (OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
 
 
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
-    """Trial-division primality check, adequate for the small primes used
-    as residue characteristics.  Cached, since every blueshift distance
-    re-checks its prime."""
+    """Deterministic Miller-Rabin primality check, exact for
+    p < MR_EXACT_BELOW (about 3.3e24); a larger p with no factor among
+    the bases is refused with BudgetError.  Cached, since every
+    blueshift distance re-checks its prime."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    if p >= MR_EXACT_BELOW:
+        raise BudgetError(f"is_prime is exact only below {MR_EXACT_BELOW}, got {p}")
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _MR_BASES:
+        x = pow(a, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

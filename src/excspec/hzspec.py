@@ -53,7 +53,7 @@ def hz_leq(a: HZPrime, b: HZPrime) -> bool:
         return b.residue == 0 and a.layer == b.layer
     if b.residue not in (0, a.residue):
         return False
-    return a.layer >= b.layer and delta_p(a.residue, a.layer, b.layer) is not INF
+    return a.layer >= b.layer and delta_p(a.residue, a.layer, b.layer) != INF
 
 
 def hz_base_change(a: HZPrime) -> BalmerPrime:

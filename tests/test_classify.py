@@ -215,6 +215,18 @@ class TestFunctionFromThomason:
         with pytest.raises(ValueError, match="specialization"):
             function_from_thomason(bad, trunc)
 
+    def test_witness_is_the_first_member_in_point_order(self):
+        trunc = b_truncation(3, [2], 3)
+        bad = frozenset(
+            {balmer_prime(3, 2, 2, INF), balmer_prime(3, 1, 2, INF), balmer_prime(3, 1, 2, 3)}
+        )
+        with pytest.raises(ValueError) as excinfo:
+            validate_thomason(bad, trunc)
+        assert str(excinfo.value) == (
+            "not specialization-closed: BalmerPrime(layer=3, char=2, height=inf) "
+            "lies under member BalmerPrime(layer=1, char=2, height=3)"
+        )
+
     def test_rejects_point_outside_the_truncation(self):
         trunc = b_truncation(2, [2], 2, True)
         outside = balmer_prime(2, 1, 2, 3)  # above hmax
@@ -355,7 +367,7 @@ def count_valid_down_sets(trunc):
         for j in range(mask.bit_length()):
             if mask >> j & 1:
                 down[j] |= 1 << i
-    finite = [pt.height is not INF for pt in trunc.points]
+    finite = [pt.height != INF for pt in trunc.points]
 
     def count(undecided, inside, covered):
         if not undecided:
@@ -474,7 +486,7 @@ class TestUnionClosure:
     @settings(max_examples=80, deadline=None)
     def test_union_closures_always_validate(self, bits):
         trunc = b_truncation(2, [2], 2, True)
-        finite = [q for q in trunc.points if q.height is not INF]
+        finite = [q for q in trunc.points if q.height != INF]
         seeds = [finite[i] for i in range(len(finite)) if bits >> i & 1]
         Y = thomason_union_closure(seeds, trunc)
         validate_thomason(Y, trunc)

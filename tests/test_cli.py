@@ -204,6 +204,17 @@ class TestQueries:
         assert code == 0
         assert "HOLDS" in out
 
+    def test_delta_with_a_large_prime_answers_at_once(self, run_cli):
+        start = time.perf_counter()
+        code, out, _ = run_cli(["delta", "1000000000000000003", "5", "1"])
+        assert time.perf_counter() - start < 5
+        assert code == 0 and out == "inf\n"
+
+    def test_prime_past_the_exact_range_is_refused(self, run_cli):
+        code, out, err = run_cli(["delta", str(2**89 - 1), "5", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: is_prime is exact only below")
+
     def test_ideals_count(self, run_cli):
         code, out, _ = run_cli(["ideals", "1", "2", "3", "--count"])
         assert code == 0
@@ -422,6 +433,43 @@ class TestDeterminismAndValidity:
         second = run_cli(argv)
         assert first == second
         assert first[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spec", "balmer", "-d", "8", "-p", "2,3,5", "-H", "4", "--json"],
+            ["ideals", "7", "3", "4", "--list", "--json"],
+            ["smith", "6", "2", "4", "2", "inf", "1"],
+        ],
+    )
+    def test_byte_identical_across_hash_seeds(self, argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(src), os.environ.get("PYTHONPATH")])
+            )}
+            done = subprocess.run(
+                [sys.executable, "-m", "excspec.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spec", "balmer", "-d", "4", "-p", "2,3", "-H", "3", "--json"],
+            ["ideals", "3", "2", "2", "--list", "--json"],
+        ],
+    )
+    def test_json_never_writes_infinity(self, run_cli, argv):
+        # json.dumps(math.inf) writes the non-standard token Infinity;
+        # heights and thresholds go out as the string "inf" instead
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert '"inf"' in out and "Infinity" not in out
 
     def test_dot_is_acyclic_digraph(self, run_cli):
         _, out, _ = run_cli(

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from excspec.balmer import geometric_blueshift, smith_holds, tate_blueshift
 from excspec.classify import is_p_admissible
 from excspec.combinat import (
     INF,
+    MR_EXACT_BELOW,
     MU_INCL_EXCL_CELL_BUDGET,
     MU_STIRLING_K_BUDGET,
     BudgetError,
@@ -17,6 +20,7 @@ from excspec.combinat import (
     delta_p,
     delta_p_brute,
     digit_sum,
+    is_prime,
     mu_brute,
     mu_incl_excl,
     mu_stirling,
@@ -226,7 +230,7 @@ class TestDelta:
         assert delta_p(2, 4, 2) == 1
         assert delta_p(2, 3, 1) == 2
         assert delta_p(5, 7, 3) == 1
-        assert delta_p(5, 7, 4) is INF
+        assert delta_p(5, 7, 4) == INF
 
     def test_brute_examples(self):
         for p in PRIMES:
@@ -269,7 +273,7 @@ class TestDelta:
                 for l in range(1, k + 1):
                     dist = delta_p_brute(p, k, l)
                     chain = shortest_ppp_chain(p, k, l)
-                    if dist is INF:
+                    if dist == INF:
                         assert chain is None
                     else:
                         assert chain is not None
@@ -311,9 +315,9 @@ class TestInfinity:
         assert INF >= INF
 
     def test_absorbing_addition(self):
-        assert INF + 7 is INF
-        assert 7 + INF is INF
-        assert INF + INF is INF
+        assert INF + 7 == INF
+        assert 7 + INF == INF
+        assert INF + INF == INF
 
     def test_distinct_from_every_int(self):
         assert all(INF != n for n in range(-3, 100))
@@ -321,6 +325,78 @@ class TestInfinity:
 
     def test_hashable_singleton(self):
         assert len({INF, INF + 1, 4 + INF}) == 1
+
+    def test_huge_ints_next_to_infinity(self):
+        # ints past the float range still compare exactly with INF
+        assert not is_p_admissible((10**400, INF, 10**400 + 1), 2, 3)
+        assert smith_holds(6, 2, 4, 2, INF, 10**400)
+
+    def test_no_identity_test_on_inf_in_the_program(self):
+        """A computed infinity (1 + INF, say) is a new float object, so an
+        identity test would miss it; the program compares with ==."""
+        root = Path(__file__).resolve().parents[1]
+        pattern = re.compile(r"\bis\s+(not\s+)?INF\b")
+        offenders = [
+            f"{path.relative_to(root)}:{n}"
+            for folder in ("src", "scripts")
+            for path in sorted((root / folder).rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)
+        ]
+        assert offenders == []
+
+
+# A014233 up to its 12th entry: the smallest strong pseudoprime to the
+# first n prime bases, n = 1..12, repeats dropped.  is_prime uses 13 bases
+# and stops at the 13th entry, MR_EXACT_BELOW.
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+)
+
+
+class TestIsPrime:
+    def test_matches_sympy_below_ten_thousand(self):
+        from sympy import isprime
+
+        assert all(is_prime(n) == isprime(n) for n in range(10**4))
+
+    def test_carmichael_numbers_are_composite(self):
+        from sympy import isprime
+
+        # Chernick: (6k+1)(12k+1)(18k+1) is a Carmichael number when all
+        # three factors are prime
+        chernick = [
+            (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+            for k in range(1, 400)
+            if all(isprime(m * k + 1) for m in (6, 12, 18))
+        ]
+        small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+        assert len(chernick) > 10
+        for n in small + chernick:
+            assert not is_prime(n)
+
+    def test_strong_pseudoprimes_are_composite(self):
+        from sympy import isprime
+
+        for n in STRONG_PSEUDOPRIMES:
+            assert not isprime(n)
+            assert not is_prime(n)
+
+    @pytest.mark.parametrize("digits", range(13, 20))
+    def test_large_primes_and_neighbours(self, digits):
+        from sympy import isprime, nextprime
+
+        p = nextprime(10 ** (digits - 1))
+        assert is_prime(p)
+        for n in range(p - 40, p + 40):
+            assert is_prime(n) == isprime(n)
+
+    def test_refuses_past_the_exact_range(self):
+        assert not is_prime(MR_EXACT_BELOW - 1)  # even
+        for n in (MR_EXACT_BELOW, 2**89 - 1):
+            with pytest.raises(BudgetError, match="exact only below"):
+                is_prime(n)
 
 
 NOT_PRIMES = (-1, 0, 1, 4)

@@ -55,7 +55,7 @@ class TestOrder:
 
 class TestBaseChange:
     def test_values(self):
-        assert hz_base_change(HZPrime(2, 5)).height is INF
+        assert hz_base_change(HZPrime(2, 5)).height == INF
         assert hz_base_change(HZPrime(2, 5)).char == 5
         assert hz_base_change(HZPrime(3, 0)).height == 1
 

@@ -10,7 +10,7 @@ partitions the (k, l) plane.
 import argparse
 import sys
 
-from excspec.classify import enumerate_p_admissible
+from excspec.classify import count_p_admissible
 from excspec.combinat import BudgetError, check_window, delta_p
 
 
@@ -42,8 +42,7 @@ def main() -> int:
         print("d,p,hmax,count")
         for p in primes:
             for d in range(1, args.dmax + 1):
-                count, _ = enumerate_p_admissible(d, p, args.hmax)
-                print(f"{d},{p},{args.hmax},{count}")
+                print(f"{d},{p},{args.hmax},{count_p_admissible(d, p, args.hmax)}")
     except (BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

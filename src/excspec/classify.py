@@ -33,12 +33,14 @@ __all__ = [
     "is_admissible",
     "thomason_from_function",
     "function_from_thomason",
+    "count_p_admissible",
     "enumerate_p_admissible",
     "thomason_union_closure",
     "validate_thomason",
 ]
 
 ENUM_BUDGET = 10**7
+DP_BUDGET = 10**6
 
 
 class TruncationError(Exception):
@@ -213,6 +215,98 @@ def function_from_thomason(Y, trunc: SpectrumTruncation) -> AdmissibleFunction:
     return AdmissibleFunction(trunc.d, trunc.primes, tuple(rows))
 
 
+def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = None) -> int:
+    """Count the threshold vectors over the value set {0, ..., hmax, inf}
+    satisfying the per-prime inequality, without listing them.
+
+    The inequality couples only layers in one residue class mod p-1, so
+    the count is a product over the classes.  Within a class a forward DP
+    takes the layers in order.  Its state is the tuple of pending
+    ceilings of the class's later layers, each capped at hmax (a finite
+    ceiling above hmax admits the same values) or INF, and it maps to
+    the number of prefixes that reach it.
+
+    The budget, DP_BUDGET unless given, bounds the entries the DP
+    computes: the coupling table's d(d-1)/2; for each value of each
+    layer, a tuple of bounds on the later layers of its class, charged
+    its length plus one; and for each state, its length times the values
+    its first layer admits.  The first two are known in advance and
+    refused before any work.
+    """
+    check_window(d, (p,))
+    if hmax < 0:
+        raise ValueError("need hmax >= 0")
+    limit = DP_BUDGET if budget is None else budget
+    work = 0
+
+    def spend(entries: int) -> None:
+        nonlocal work
+        work += entries
+        if work > limit:
+            raise BudgetError(f"DP budget exceeded: more than {limit} entries")
+
+    classes = [range(first, d + 1, p - 1) for first in range(1, min(p - 1, d) + 1)]
+    spend(d * (d - 1) // 2 + (hmax + 2) * sum(len(c) * (len(c) + 1) // 2 for c in classes))
+    domain: tuple[NatInfinity, ...] = tuple(range(hmax + 1)) + (INF,)
+    table = _coupling_table(p, d)
+    values: list[NatInfinity] = [INF] * d  # the one value each bound reads
+    total = 1
+    for layers in classes:
+        deltas = [dict(table[m - 1]) for m in layers]
+        frontier = {(INF,) * len(layers): 1}
+        for i, k in enumerate(layers):
+            # bounds[v]: the capped ceilings that f(k) = v puts on the
+            # class's later layers; a state takes their pointwise minimum
+            later = [((k, row[k]),) if k in row else () for row in deltas[i + 1 :]]
+            bounds = []
+            for v in domain:
+                values[k - 1] = v
+                ceilings = (_ceiling(pairs, values) for pairs in later)
+                bounds.append(tuple(c if c == INF else min(c, hmax) for c in ceilings))
+            step: dict[tuple[NatInfinity, ...], int] = {}
+            for pending, ways in frontier.items():
+                ceiling, rest = pending[0], pending[1:]
+                admitted = bounds if ceiling == INF else bounds[: ceiling + 1]
+                spend(len(admitted) * len(pending))
+                for bound in admitted:
+                    state = tuple(map(min, rest, bound))
+                    step[state] = step.get(state, 0) + ways
+            frontier = step
+        total *= frontier[()]
+    return total
+
+
+def _rows(d: int, hmax: int, table):
+    """The admissible vectors in ascending order, as (prefix, admitted):
+    each admissible prefix of layers 1..d-1 with the values layer d
+    admits under it.  The walk keeps one iterator per layer on an
+    explicit stack."""
+    domain: tuple[NatInfinity, ...] = tuple(range(hmax + 1)) + (INF,)
+
+    def admitted(prefix):
+        # domain[v] == v for finite v, so the values up to a finite
+        # ceiling are the first min(ceiling, hmax) + 1 of the domain
+        ceiling = _ceiling(table[len(prefix)], prefix)
+        return domain if ceiling == INF else domain[: min(ceiling, hmax) + 1]
+
+    if d == 1:
+        yield (), domain
+        return
+    prefix: list[NatInfinity] = [INF]  # the last slot is the layer being chosen
+    stack = [iter(domain)]
+    while stack:
+        for v in stack[-1]:
+            prefix[-1] = v
+            if len(prefix) < d - 1:
+                stack.append(iter(admitted(prefix)))
+                prefix.append(INF)
+                break
+            yield tuple(prefix), admitted(prefix)
+        else:
+            stack.pop()
+            prefix.pop()
+
+
 def enumerate_p_admissible(
     d: int,
     p: int,
@@ -220,13 +314,16 @@ def enumerate_p_admissible(
     with_list: bool = False,
     budget: int = ENUM_BUDGET,
 ):
-    """Count (and optionally list) the threshold vectors over the value
-    set {0, ..., hmax, inf} satisfying the per-prime inequality.
+    """Count and optionally list the threshold vectors over the value set
+    {0, ..., hmax, inf} satisfying the per-prime inequality.
 
-    Enumerates recursively: each new layer takes the domain values up to
-    its ceiling over the earlier layers; since the inequality always
-    bounds the larger layer, pruning is exact.  The list is ascending
-    (lexicographic, inf last).
+    Returns (count, rows): the count comes from count_p_admissible, and
+    rows is None, or with with_list a lazy walk of (prefix, admitted)
+    pairs, each an admissible prefix of layers 1..d-1 with the values
+    layer d admits under it.  Flattened, the rows list the vectors in
+    ascending order (lexicographic, inf last).  Since the inequality
+    always bounds the larger layer, the walk prunes exactly.  A window
+    with more than `budget` candidate vectors is refused before any row.
     """
     check_window(d, (p,))
     if hmax < 0:
@@ -235,29 +332,10 @@ def enumerate_p_admissible(
         raise BudgetError(
             f"enumeration budget exceeded: ({hmax + 2})**{d} > {budget}"
         )
-    domain: tuple[NatInfinity, ...] = tuple(range(hmax + 1)) + (INF,)
-    table = _coupling_table(p, d)
-    found: list[tuple[NatInfinity, ...]] = []
-    count = 0
-
-    def extend(prefix: list[NatInfinity]) -> None:
-        nonlocal count
-        k = len(prefix)
-        if k == d:
-            count += 1
-            if with_list:
-                found.append(tuple(prefix))
-            return
-        # domain[v] == v for finite v, so the values up to a finite
-        # ceiling are the first min(ceiling, hmax) + 1 of the domain
-        ceiling = _ceiling(table[k], prefix)
-        for v in domain if ceiling == INF else domain[: min(ceiling, hmax) + 1]:
-            prefix.append(v)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return (count, found) if with_list else (count, None)
+    # the DP's work is within a small multiple of the walk's, so the
+    # enumeration budget bounds both
+    count = count_p_admissible(d, p, hmax, budget=INF)
+    return count, _rows(d, hmax, _coupling_table(p, d)) if with_list else None
 
 
 def thomason_union_closure(seeds, trunc: SpectrumTruncation) -> frozenset:

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import balmer, burnside, classify, combinat, hzspec, zariski
 from .combinat import INF, BudgetError
@@ -207,21 +208,44 @@ def cmd_smith(args) -> int:
     return 0
 
 
+def write_ideal_rows(rows, hmax: int, fmt: str) -> None:
+    """Write the (prefix, admitted) rows of classify.enumerate_p_admissible
+    as they come: for "json" the bytes of json.dumps of the string rows
+    with separators (",", ":"), otherwise one "f = (...)" line per
+    vector.  Each value's text is made once and each prefix is formatted
+    once, and the text goes out in chunks of prefixes, so neither the
+    vectors nor the rows are ever held."""
+    if fmt == "json":
+        start, sep, end, head, piece, tail = "[", ",", "]\n", "[", '"{}",', '"{}"]'
+    else:
+        start, sep, end, head, piece, tail = "", "\n", "\n", "f = (", "{}, ", "{})"
+    domain = [*range(hmax + 1), INF]
+    pieces = {v: piece.format(v) for v in domain}
+    tails = {v: tail.format(v) for v in domain}
+
+    def blocks():
+        for prefix, admitted in rows:
+            lead = head + "".join([pieces[v] for v in prefix])
+            yield sep.join([lead + tails[v] for v in admitted])
+
+    write = sys.stdout.write
+    write(start)
+    chunks = blocks()
+    for i, chunk in enumerate(iter(lambda: sep.join(islice(chunks, 1024)), "")):
+        write(sep + chunk if i else chunk)
+    write(end)
+
+
 def cmd_ideals(args) -> int:
     _check_mode_flags(args)
-    budget = int(os.environ.get("EXCSPEC_ENUM_BUDGET", classify.ENUM_BUDGET))
-    count, functions = classify.enumerate_p_admissible(
-        args.d, args.p, args.hmax, with_list=args.mode == "list", budget=budget
-    )
     if args.mode == "list":
-        # str(INF) makes a new string per call; share one
-        rows = [["inf" if v == INF else str(v) for v in f] for f in functions]
-        if args.format == "json":
-            print(json.dumps(rows, separators=(",", ":")))
-        else:
-            for row in rows:
-                print("f = (" + ", ".join(row) + ")")
+        budget = int(os.environ.get("EXCSPEC_ENUM_BUDGET", classify.ENUM_BUDGET))
+        _, rows = classify.enumerate_p_admissible(
+            args.d, args.p, args.hmax, with_list=True, budget=budget
+        )
+        write_ideal_rows(rows, args.hmax, args.format)
         return 0
+    count = classify.count_p_admissible(args.d, args.p, args.hmax)
     if args.format == "csv":
         print("d,p,hmax,count")
         print(f"{args.d},{args.p},{args.hmax},{count}")

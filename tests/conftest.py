@@ -6,6 +6,7 @@ import io
 import pytest
 
 from excspec import cli
+from excspec.classify import enumerate_p_admissible
 
 
 def invoke_cli(argv: list[str]) -> tuple[int, str, str]:
@@ -17,6 +18,13 @@ def invoke_cli(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse usage errors
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def listed_vectors(d: int, p: int, hmax: int) -> tuple[int, list[tuple]]:
+    """(count, vectors) of enumerate_p_admissible with the list: its lazy
+    (prefix, admitted) rows flattened into one ascending list."""
+    count, rows = enumerate_p_admissible(d, p, hmax, with_list=True)
+    return count, [prefix + (v,) for prefix, admitted in rows for v in admitted]
 
 
 @pytest.fixture

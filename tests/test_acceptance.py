@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import dot_nodes_and_edges
+from conftest import dot_nodes_and_edges, listed_vectors
 
 from excspec.balmer import (
     b_truncation,
@@ -27,7 +27,6 @@ from excspec.burnside import (
 )
 from excspec.classify import (
     TruncationError,
-    enumerate_p_admissible,
     function_from_thomason,
     PAdmissibleFunction,
     thomason_from_function,
@@ -181,7 +180,7 @@ def test_criterion_10_classification_round_trip():
         for d in (1, 2, 3):
             for hmax in (1, 2, 3):
                 trunc = b_truncation(d, [p], hmax, include_infinity=True)
-                _, functions = enumerate_p_admissible(d, p, hmax, with_list=True)
+                _, functions = listed_vectors(d, p, hmax)
                 shadows = {}
                 for values in functions:
                     f = PAdmissibleFunction(d, p, values)

@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import listed_vectors
+
+from excspec import classify
 from excspec.balmer import b_truncation, balmer_prime
 from excspec.classify import (
     AdmissibleFunction,
     PAdmissibleFunction,
     TruncationError,
+    count_p_admissible,
     enumerate_p_admissible,
     function_from_thomason,
     is_admissible,
@@ -31,7 +35,9 @@ BRUTE_WINDOWS = [(4, 2, 3), (5, 2, 2), (7, 2, 1), (5, 3, 3), (6, 3, 2), (6, 5, 2
 
 # (count, first 16 hex digits of the sha256 of repr(list)) that
 # enumerate_p_admissible gave when it checked the inequality pair by pair
-# for each candidate value, before the per-layer ceiling.
+# for each candidate value, before the per-layer ceiling and before its
+# list became lazy (prefix, admitted) rows; the digest is over the
+# flattened rows.
 PINNED_ENUMERATIONS = {
     (8, 3, 4): (83485, "53c98662b917692a"),
     (8, 3, 3): (27378, "c4fe400fc80c0115"),
@@ -257,7 +263,7 @@ class TestRoundTrip:
     def test_bijection_by_double_enumeration(self, d, hmax):
         p = 2
         trunc = b_truncation(d, [p], hmax, True)
-        _, functions = enumerate_p_admissible(d, p, hmax, with_list=True)
+        _, functions = listed_vectors(d, p, hmax)
 
         visible = {}
         for values in functions:
@@ -289,7 +295,7 @@ class TestRoundTrip:
     def test_pointwise_order_reversal(self):
         d, p, hmax = 3, 2, 2
         trunc = b_truncation(d, [p], hmax, True)
-        _, functions = enumerate_p_admissible(d, p, hmax, with_list=True)
+        _, functions = listed_vectors(d, p, hmax)
         shadows = {}
         for values in functions:
             try:
@@ -324,27 +330,92 @@ class TestEnumeration:
             enumerate_p_admissible(12, 2, 8)
 
     def test_list_matches_count(self):
-        count, listed = enumerate_p_admissible(3, 2, 2, with_list=True)
+        count, listed = listed_vectors(3, 2, 2)
         assert count == len(listed)
         assert len(set(listed)) == count
 
     def test_list_is_ascending_with_inf_last(self):
         for d, p, hmax in [(3, 2, 2), (4, 3, 1), (2, 5, 3)]:
-            _, listed = enumerate_p_admissible(d, p, hmax, with_list=True)
+            _, listed = listed_vectors(d, p, hmax)
             assert all(a < b for a, b in zip(listed, listed[1:]))
             assert listed[-1] == (INF,) * d
 
     @pytest.mark.parametrize("d, p, hmax", BRUTE_WINDOWS)
     def test_list_is_the_brute_filter(self, d, p, hmax):
         brute = brute_enumerate(d, p, hmax)
-        assert enumerate_p_admissible(d, p, hmax, with_list=True) == (len(brute), brute)
+        assert listed_vectors(d, p, hmax) == (len(brute), brute)
 
     @pytest.mark.parametrize("window", sorted(PINNED_ENUMERATIONS))
     def test_pinned_windows(self, window):
-        count, listed = enumerate_p_admissible(*window, with_list=True)
+        count, listed = listed_vectors(*window)
         digest = hashlib.sha256(repr(listed).encode()).hexdigest()[:16]
         assert (count, digest) == PINNED_ENUMERATIONS[window]
         assert enumerate_p_admissible(*window) == (count, None)
+        assert count_p_admissible(*window) == count
+
+    def test_refusal_comes_before_any_row(self):
+        # the checks are eager, so the CLI exits 2 before writing a byte
+        with pytest.raises(BudgetError):
+            enumerate_p_admissible(12, 2, 8, with_list=True)
+        with pytest.raises(ValueError):
+            enumerate_p_admissible(3, 2, -1, with_list=True)
+
+    def test_rows_are_a_lazy_walk(self):
+        _, rows = enumerate_p_admissible(8, 3, 4, with_list=True)
+        assert iter(rows) is rows
+        assert next(rows) == ((0,) * 7, (0, 1))
+
+
+# Every window of the benchmark's ideals --count pool, plus (10, 2, 3).
+COUNT_WINDOWS = [
+    (d, p, h)
+    for d in range(1, 13)
+    for p in (2, 3, 5, 7)
+    for h in range(0, 7)
+    if (h + 2) ** d <= 3 * 10**5
+] + [(10, 2, 3)]
+
+
+class TestCount:
+    """count_p_admissible, the per-class DP, against the walk that lists
+    the vectors."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_equals_the_rows_walked(self, p):
+        for d, q, hmax in COUNT_WINDOWS:
+            if q == p:
+                _, rows = enumerate_p_admissible(d, p, hmax, with_list=True)
+                walked = sum(len(admitted) for _, admitted in rows)
+                assert count_p_admissible(d, p, hmax) == walked, (d, p, hmax)
+
+    @pytest.mark.parametrize(
+        "d, p, hmax, count",
+        [
+            (12, 5, 3, 10_185_728),  # past the enumeration budget
+            (8, 3, 6, 487_746),  # what enumeration gives on a 10**8 budget
+            (40, 2, 10, 33_362_446_957_506_628_914),  # DP only
+        ],
+    )
+    def test_pinned_counts(self, d, p, hmax, count):
+        assert count_p_admissible(d, p, hmax) == count
+
+    def test_one_layer_per_class_is_unconstrained(self):
+        # p - 1 >= d: no two layers share a class mod p-1
+        assert count_p_admissible(4, 7, 3) == 5**4
+
+    @pytest.mark.parametrize("d, p, hmax", [(0, 2, 1), (3, 4, 1), (3, 2, -1)])
+    def test_rejects_bad_window(self, d, p, hmax):
+        with pytest.raises(ValueError):
+            count_p_admissible(d, p, hmax)
+
+    def test_budget(self, monkeypatch):
+        # the table and the bounds are charged before any work
+        with pytest.raises(BudgetError):
+            count_p_admissible(10**5, 2, 1)
+        monkeypatch.setattr(classify, "DP_BUDGET", 1000)
+        assert count_p_admissible(5, 2, 3) == 448
+        with pytest.raises(BudgetError):
+            count_p_admissible(10, 2, 3)  # 1329 entries
 
 
 def visible(values, p, hmax):
@@ -390,7 +461,7 @@ class TestVisibleCount:
     @pytest.mark.parametrize("d, p, hmax", [(5, 2, 3), (4, 3, 2), (3, 2, 1), (6, 5, 2)])
     def test_visible_is_what_thomason_from_function_accepts(self, d, p, hmax):
         trunc = b_truncation(d, [p], hmax, True)
-        for values in enumerate_p_admissible(d, p, hmax, with_list=True)[1]:
+        for values in listed_vectors(d, p, hmax)[1]:
             try:
                 thomason_from_function(p_function(d, p, values), trunc)
                 accepted = True
@@ -403,7 +474,7 @@ class TestVisibleCount:
         [(8, 3, 4, 40365), (10, 3, 3, 81438), (7, 5, 3, 8788), (6, 2, 2, 272), (5, 2, 3, 288)],
     )
     def test_visible_functions_count_the_valid_subsets(self, d, p, hmax, count):
-        _, functions = enumerate_p_admissible(d, p, hmax, with_list=True)
+        _, functions = listed_vectors(d, p, hmax)
         assert sum(visible(f, p, hmax) for f in functions) == count
         assert count_valid_down_sets(b_truncation(d, [p], hmax, True)) == count
 

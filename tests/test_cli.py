@@ -1,18 +1,20 @@
+import contextlib
 import json
 import os
 import runpy
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dot_nodes_and_edges, invoke_cli, tokenize_dot
+from conftest import dot_nodes_and_edges, invoke_cli, listed_vectors, tokenize_dot
 
-from excspec import combinat
+from excspec import classify, cli, combinat
 
 
 class TestMu:
@@ -232,10 +234,68 @@ class TestQueries:
         assert sorted(map(tuple, rows)) == [("0",), ("1",), ("inf",)]
 
     def test_ideals_budget_env(self, run_cli, monkeypatch):
+        # the enumeration budget bounds --list only, and refuses before
+        # the first byte
         monkeypatch.setenv("EXCSPEC_ENUM_BUDGET", "4")
-        code, _, err = run_cli(["ideals", "2", "2", "1", "--count"])
-        assert code == 2
+        code, out, err = run_cli(["ideals", "2", "2", "1", "--list"])
+        assert code == 2 and out == ""
         assert "budget" in err
+        assert run_cli(["ideals", "2", "2", "1", "--count"]) == (0, "7\n", "")
+
+    def test_ideals_count_past_the_enumeration_budget(self, run_cli):
+        assert run_cli(["ideals", "12", "5", "3", "--count"]) == (0, "10185728\n", "")
+
+    def test_ideals_count_dp_budget(self, run_cli, monkeypatch):
+        code, out, err = run_cli(["ideals", "100000", "2", "1", "--count"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: DP budget exceeded") and "Traceback" not in err
+        monkeypatch.setattr(classify, "DP_BUDGET", 100)
+        code, out, err = run_cli(["ideals", "12", "5", "3", "--count"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: DP budget exceeded") and "Traceback" not in err
+
+
+class TestIdealsStreaming:
+    """`ideals --list` writes its rows as the walk yields them, with the
+    bytes of the formatting that held the whole list."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_output_is_the_held_list_formatting(self, run_cli, d, p):
+        for hmax in range(4):
+            _, vectors = listed_vectors(d, p, hmax)
+            rows = [[str(v) for v in f] for f in vectors]
+            argv = ["ideals", str(d), str(p), str(hmax), "--list"]
+            assert run_cli(argv + ["--json"]) == (
+                0, json.dumps(rows, separators=(",", ":")) + "\n", ""
+            )
+            text = "".join("f = (" + ", ".join(row) + ")\n" for row in rows)
+            assert run_cli(argv) == (0, text, "")
+
+    def test_more_rows_than_one_chunk(self, run_cli):
+        code, out, _ = run_cli(["ideals", "8", "3", "3", "--list"])
+        assert code == 0 and out.count("\n") == 27378
+        code, out, _ = run_cli(["ideals", "8", "3", "3", "--list", "--json"])
+        assert code == 0 and len(json.loads(out)) == 27378
+
+    def test_anchor_query_holds_no_list(self):
+        # the list of tuples and string rows held 9.0 MB and 38.8 MB here
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                assert cli.main(["ideals", "8", "3", "4", "--list", "--json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 2_500_000
+        assert peak < 5_000_000
 
 
 class TestInputValidation:
@@ -360,7 +420,7 @@ class TestSurveyScript:
         "argv, message",
         [
             (["--hmax", "-1"], "need hmax >= 0"),
-            (["--dmax", "12", "--hmax", "9", "--primes", "2"], "budget exceeded"),
+            (["--dmax", "1", "--hmax", str(10**6)], "budget exceeded"),
         ],
         ids=["negative-hmax", "over-budget"],
     )
@@ -412,7 +472,7 @@ def test_readme_cli_example(argv, quoted):
 
 def test_readme_lists_the_cli_examples():
     examples = readme_cli_examples()
-    assert len(examples) == 14
+    assert len(examples) == 15
     assert ["x2*x2 = 2 x2 + 4 x3"] in [quoted for _, quoted in examples]
     assert ["brute: skipped (budget)"] in [quoted for _, quoted in examples]
 

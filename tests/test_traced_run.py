@@ -5,12 +5,16 @@ traced run fail ("expected counters read zero") without any test error."""
 
 import importlib
 import importlib.util
+import inspect
+import json
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from excspec import balmer, poset
+from conftest import invoke_cli
+
+from excspec import balmer, classify, poset
 
 TRACED_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "traced_child.py"
 
@@ -76,3 +80,26 @@ def test_rebound_b_leq_count_keeps_the_chain_pruning(monkeypatch):
     trunc = balmer.b_truncation(14, (2, 3, 5, 7, 11, 13), 10)
     assert len(trunc.points) == 854
     assert 0 < calls <= 90_000
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_ideals_list_reports_its_rows_through_the_module(traced_child, monkeypatch, fmt):
+    # `ideals --list` must call enumerate_p_admissible through the module
+    # attribute, and result[0] must count the rows printed: the traced
+    # run reads classify.enumerate_p_admissible.calls and
+    # classify.functions_out off that call
+    results, counts = [], defaultdict(int)
+    enumerate_p_admissible = classify.enumerate_p_admissible
+    counter = traced_child.RESULT_COUNTERS["classify.enumerate_p_admissible"]
+
+    def spy(*args, **kwargs):
+        result = enumerate_p_admissible(*args, **kwargs)
+        counter(counts, result, inspect.signature(enumerate_p_admissible).bind(*args, **kwargs))
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(classify, "enumerate_p_admissible", spy)
+    code, out, _ = invoke_cli(["ideals", "6", "3", "3", "--list", *fmt])
+    printed = len(json.loads(out)) if fmt else len(out.splitlines())
+    assert code == 0 and len(results) == 1
+    assert results[0][0] == counts["classify.functions_out"] == printed == 3248

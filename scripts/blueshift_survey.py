@@ -8,6 +8,7 @@ partitions the (k, l) plane.
 """
 
 import argparse
+import os
 import sys
 
 from excspec.classify import count_p_admissible
@@ -43,9 +44,13 @@ def main() -> int:
         for p in primes:
             for d in range(1, args.dmax + 1):
                 print(f"{d},{p},{args.hmax},{count_p_admissible(d, p, args.hmax)}")
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
     except (BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader took what it wanted; the final flush goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

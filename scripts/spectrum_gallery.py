@@ -10,7 +10,9 @@ and the integral-coefficient spectrum.  Render with e.g.
 import argparse
 import contextlib
 import io
+import os
 import pathlib
+import sys
 
 from excspec import cli
 
@@ -28,17 +30,23 @@ def main() -> int:
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("out"))
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
-    for name, argv in GALLERY.items():
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = cli.main(argv)
-        if code != 0:
-            print(f"{name}: FAILED (exit {code})")
-            return code
-        path = args.out / f"{name}.dot"
-        path.write_text(buffer.getvalue())
-        print(f"wrote {path}")
-    return 0
+    code = 0
+    try:
+        for name, argv in GALLERY.items():
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                code = cli.main(argv)
+            if code != 0:
+                print(f"{name}: FAILED (exit {code})")
+                break
+            path = args.out / f"{name}.dot"
+            path.write_text(buffer.getvalue())
+            print(f"wrote {path}")
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader took what it wanted; the final flush goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

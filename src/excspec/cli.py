@@ -3,9 +3,9 @@ DOT/JSON/text, blueshift distances, vanishing queries, and ideal counts.
 
 All output is byte-deterministic for fixed flags: node orders are sorted,
 no floats are printed, and JSON uses fixed separators.  Exit codes:
-0 success, 1 verification failure, 2 budget or usage error, or a
-missing optional dependency (numpy, for `mu --method brute` and
-`mu --all`).
+0 success, 1 verification failure, 2 budget or usage error.  A reader
+that closes stdout early (`excspec ideals 8 3 4 --list | head -1`) ends
+the query with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -364,10 +364,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (BudgetError, ValueError, ImportError) as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except (BudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader took what it wanted; the final flush goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

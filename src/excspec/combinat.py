@@ -6,13 +6,14 @@ fixed-width shortcut is taken anywhere.  The one float here, INF, is
 math.inf: Python compares it exactly with ints of any size, and it
 absorbs addition.  Brute-force routines carry hard enumeration budgets
 and raise :class:`BudgetError` instead of silently truncating; they
-serve as oracles for the closed-form routines and must never lie.
+serve as oracles for the closed-form routines and must never lie.  Like
+the rest of the package they need only the standard library.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
@@ -39,7 +40,7 @@ __all__ = [
     "check_window",
 ]
 
-MU_BRUTE_CELL_BUDGET = 20  # enumerate all 2**(i*j) subsets only up to here
+MU_BRUTE_CELL_BUDGET = 20  # count every good subset only up to here
 MU_INCL_EXCL_CELL_BUDGET = 5000  # (i+1)(j+1) binomials of up to i*j bits each
 MU_STIRLING_K_BUDGET = 1000  # the signed Stirling row k costs ~k**2 big-int steps
 PARTITION_BUDGET = 64  # largest k for which p-power partitions are enumerated
@@ -182,54 +183,41 @@ def surjections(i: int, j: int) -> int:
 @lru_cache(maxsize=None)
 def _mu_brute_table(i: int, j: int) -> tuple[int, ...]:
     """Tally, by cardinality, of the subsets of the i x j grid whose two
-    projections are both surjective, by sweeping all 2**(i*j) bitmasks.
+    projections are both surjective, counted exhaustively row by row.
 
-    Entry k of the returned tuple is mu(i, j, k).  Vectorized with numpy,
-    the optional ``oracle`` dependency: this is the package's only numpy
-    user, and numpy is imported here on the first call, so no other
-    query pays for its import.  All quantities fit in 64-bit counters
-    since i*j <= 20.
+    Entry k of the returned tuple is mu(i, j, k).  The grid is turned so
+    that it has no more columns than rows.  Each row is a nonempty subset
+    of the columns, and the count keeps the number of ways to reach each
+    (columns covered, cells taken) pair; a subset is good when its rows
+    cover every column.
     """
-    try:
-        import numpy as np
-    except ImportError as exc:
-        raise ImportError(
-            "mu_brute needs numpy, which could not be imported "
-            "(pip install 'excspec[oracle]')"
-        ) from exc
-
-    popcount8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-    cells = i * j
-    v = np.arange(1 << cells, dtype=np.uint32)
-    good = np.ones(v.shape, dtype=bool)
-    for r in range(i):
-        row_mask = np.uint32(sum(1 << (r * j + c) for c in range(j)))
-        good &= (v & row_mask) != 0
-    for c in range(j):
-        col_mask = np.uint32(sum(1 << (r * j + c) for r in range(i)))
-        good &= (v & col_mask) != 0
-    v = v[good]
-    sizes = (
-        popcount8[v & 0xFF]
-        + popcount8[(v >> np.uint32(8)) & 0xFF]
-        + popcount8[(v >> np.uint32(16)) & 0xFF]
-    )
-    tally = np.bincount(sizes, minlength=cells + 1)
-    return tuple(int(t) for t in tally)
+    if i < j:
+        i, j = j, i  # transposition bijects good subsets, preserving size
+    columns = (1 << j) - 1
+    ways = Counter({(0, 0): 1})
+    for _ in range(i):
+        after = Counter()
+        for (covered, size), n in ways.items():
+            for row in range(1, columns + 1):
+                after[covered | row, size + row.bit_count()] += n
+        ways = after
+    tally = [0] * (i * j + 1)
+    for (covered, size), n in ways.items():
+        if covered == columns:
+            tally[size] += n
+    return tuple(tally)
 
 
 def mu_brute(i: int, j: int, k: int) -> int:
     """Count size-k subsets of the i x j grid projecting onto both
-    factors, by exhaustive enumeration.  Oracle method; requires
-    i*j <= 20, and numpy (the ``oracle`` extra) once within that budget."""
+    factors, by counting every subset row by row.  Oracle method;
+    requires i*j <= MU_BRUTE_CELL_BUDGET."""
     if i < 1 or j < 1 or k < 1:
         raise ValueError("mu_brute requires i, j, k >= 1")
     if i * j > MU_BRUTE_CELL_BUDGET:
         raise BudgetError(
             f"mu_brute budget exceeded: i*j = {i * j} > {MU_BRUTE_CELL_BUDGET}"
         )
-    if i > j:
-        i, j = j, i  # transposition bijects good subsets, preserving size
     table = _mu_brute_table(i, j)
     return table[k] if k < len(table) else 0
 

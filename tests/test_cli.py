@@ -286,6 +286,9 @@ class TestIdealsStreaming:
             def write(self, text):
                 self.size += len(text)
 
+            def flush(self):
+                pass
+
         sink = Sink()
         tracemalloc.start()
         try:
@@ -447,6 +450,29 @@ class TestSurveyScript:
         code, out, _ = self.run(monkeypatch, capsys, "--primes", "2,2", "--kmax", "1", "--dmax", "1")
         assert code == 0
         assert out.splitlines() == ["p,k,l,delta", "2,1,1,0", "", "d,p,hmax,count", "1,2,3,5"]
+
+
+@pytest.mark.parametrize("command, lines", [
+    (["-m", "excspec.cli", "ideals", "8", "3", "4", "--list"], 1),
+    (["scripts/blueshift_survey.py", "--kmax", "100"], 1),
+    (["scripts/spectrum_gallery.py", "--out", "{tmp}"], 0),
+], ids=["ideals-list", "survey", "gallery"])
+def test_reader_closing_early_is_a_clean_exit(command, lines, tmp_path):
+    """The reader takes a few lines and closes the pipe (the first two
+    writers have far more than the 64 KiB pipe buffer to write), and the
+    writer exits 0, silently."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.Popen(
+        [sys.executable, *(arg.format(tmp=tmp_path) for arg in command)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root,
+    )
+    taken = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (b"" in taken, proc.wait(timeout=120), err) == (False, 0, b"")
 
 
 def readme_cli_examples():

@@ -11,6 +11,7 @@ from excspec.classify import is_p_admissible
 from excspec.combinat import (
     INF,
     MR_EXACT_BELOW,
+    MU_BRUTE_CELL_BUDGET,
     MU_INCL_EXCL_CELL_BUDGET,
     MU_STIRLING_K_BUDGET,
     BudgetError,
@@ -20,6 +21,7 @@ from excspec.combinat import (
     delta_p,
     delta_p_brute,
     digit_sum,
+    _mu_brute_table,
     is_prime,
     mu_brute,
     mu_incl_excl,
@@ -82,6 +84,19 @@ class TestBasicCounts:
                 check_window(d, primes)
 
 
+def _swept_mu_table(i: int, j: int) -> tuple[int, ...]:
+    """Tally by size of the subsets of the i x j grid that meet every row
+    and every column, by visiting all 2**(i*j) bitmasks (cell (r, c) is
+    bit r*j + c)."""
+    rows = [sum(1 << (r * j + c) for c in range(j)) for r in range(i)]
+    columns = [sum(1 << (r * j + c) for r in range(i)) for c in range(j)]
+    tally = [0] * (i * j + 1)
+    for cells in range(1 << (i * j)):
+        if all(cells & m for m in rows) and all(cells & m for m in columns):
+            tally[bin(cells).count("1")] += 1
+    return tuple(tally)
+
+
 class TestMu:
     def test_brute_examples(self):
         assert mu_brute(2, 2, 2) == 2
@@ -100,16 +115,29 @@ class TestMu:
             assert mu_stirling(3, 3, k) == mu_brute(3, 3, k)
 
     def test_three_methods_agree_small(self):
-        for i in range(1, 5):
-            for j in range(1, 4):
+        """Everywhere within the brute-force budget, at every k."""
+        for i in range(1, MU_BRUTE_CELL_BUDGET + 1):
+            for j in range(1, MU_BRUTE_CELL_BUDGET // i + 1):
                 for k in range(1, i * j + 2):
                     b = mu_brute(i, j, k)
-                    assert mu_incl_excl(i, j, k) == b
-                    assert mu_stirling(i, j, k) == b
+                    assert mu_incl_excl(i, j, k) == b, (i, j, k)
+                    assert mu_stirling(i, j, k) == b, (i, j, k)
 
     def test_brute_budget(self):
         with pytest.raises(BudgetError):
             mu_brute(5, 5, 7)
+
+    def test_row_count_equals_bitmask_sweep(self):
+        """The row-by-row count equals a sweep of every subset bitmask of
+        the grid, in both orientations."""
+        grids = [(i, j) for i in range(1, 15) for j in range(1, 14 // i + 1)]
+        for i, j in grids:
+            assert _mu_brute_table(i, j) == _swept_mu_table(i, j), (i, j)
+
+    def test_all_still_skips_brute_past_budget(self, run_cli):
+        code, out, _ = run_cli(["mu", "5", "5", "7", "--all"])
+        assert code == 0
+        assert out.splitlines()[0] == "brute: skipped (budget)"
 
     def test_formulas_agree_beyond_brute_budget(self):
         # the two summation formulas are independent of each other; they

@@ -2,7 +2,7 @@
 modelled as a finite poset of points (layer, char, height).
 
 Height 1 is the rational point and is independent of the characteristic,
-so canonical points store char 0 there; at heights above 1 the char is a
+so every point stores char 0 there; at heights above 1 the char is a
 genuine prime.  Containment between points is decided by three numeric
 conditions: divisibility of the layer gap by p-1, a height gap of at
 least the blueshift distance delta_p, and char agreement above height 1.
@@ -24,13 +24,12 @@ from itertools import chain, repeat
 
 from .combinat import INF, NatInfinity, check_window, delta_p, is_prime
 from .poset import Poset, build_poset
-from .zariski import ZariskiPrime, canonical_layer
+from .zariski import ZariskiPrime
 
 __all__ = [
     "BalmerPrime",
     "balmer_prime",
     "SpectrumTruncation",
-    "b_equal",
     "b_leq",
     "b_truncation",
     "rho",
@@ -46,33 +45,27 @@ __all__ = [
 @dataclass(frozen=True)
 class BalmerPrime:
     """A prime thick tensor-ideal: layer k, characteristic p, chromatic
-    height h >= 1 (possibly infinity).  Canonical form: char 0 at
-    height 1, a prime char above."""
+    height h >= 1 (possibly infinity).  Canonical by construction: a
+    height-1 point takes char 0, the char is kept above."""
 
     layer: int
     char: int
     height: NatInfinity
 
+    def __post_init__(self):
+        if self.height == 1:
+            object.__setattr__(self, "char", 0)
+
 
 def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPrime:
-    """Validated canonical point for the degree-d window."""
+    """Validated point for the degree-d window."""
     if not 1 <= layer <= d:
         raise ValueError(f"layer {layer} out of range 1..{d}")
     if height < 1:
         raise ValueError("height must be >= 1")
-    if height == 1:
-        return BalmerPrime(layer, 0, 1)
-    if not is_prime(char):
+    if height != 1 and not is_prime(char):
         raise ValueError(f"char must be prime at height > 1, got {char}")
     return BalmerPrime(layer, char, height)
-
-
-def b_equal(a: BalmerPrime, b: BalmerPrime) -> bool:
-    """Point equality: layers and heights equal, chars equal above
-    height 1 (all chars give the same rational point at height 1)."""
-    if a.layer != b.layer or a.height != b.height:
-        return False
-    return a.height == 1 or a.char == b.char
 
 
 def b_leq(a: BalmerPrime, b: BalmerPrime) -> bool:
@@ -81,12 +74,13 @@ def b_leq(a: BalmerPrime, b: BalmerPrime) -> bool:
     Writing a = (k, p, h') and b = (l, q, h): true iff p-1 | k-l >= 0,
     h' >= h + delta_p(k, l), and p = q whenever h > 1.  A height-1
     source lies under no other point: 1 >= h + delta_p(k, l) forces
-    h = 1 and k = l, which is equality.
+    h = 1 and k = l, which is equality.  Equal points above height 1
+    pass the delta test with delta = 0.
     """
-    if b_equal(a, b):
-        return True
-    if a.layer < b.layer or a.height == 1:
+    if a.layer < b.layer:
         return False
+    if a.height == 1:
+        return a == b
     delta = delta_p(a.char, a.layer, b.layer)
     return (
         delta != INF
@@ -144,10 +138,8 @@ def b_truncation(
 def rho(a: BalmerPrime) -> ZariskiPrime:
     """Comparison map to the prime-ideal spectrum of the Burnside ring:
     height 1 lands on the char-0 layer point, higher heights on the
-    canonical glued char-p point."""
-    if a.height == 1:
-        return ZariskiPrime(a.layer, 0)
-    return ZariskiPrime(canonical_layer(a.layer, a.char), a.char)
+    glued char-p point."""
+    return ZariskiPrime(a.layer, a.char)
 
 
 def tate_blueshift(p: int, k: int, l: int, h: int) -> NatInfinity:

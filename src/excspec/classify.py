@@ -49,27 +49,10 @@ class TruncationError(Exception):
 
 
 @dataclass(frozen=True)
-class PAdmissibleFunction:
-    """Threshold vector for a single characteristic: values[k-1] is the
-    cut height at layer k, a non-negative int (not a bool) or INF."""
-
-    d: int
-    p: int
-    values: tuple[NatInfinity, ...]
-
-    def __post_init__(self):
-        check_window(self.d, (self.p,))
-        if len(self.values) != self.d:
-            raise ValueError("values length must equal d")
-        for v in self.values:
-            if v != INF and (type(v) is not int or v < 0):
-                raise ValueError(f"threshold must be an int >= 0 or INF, got {v!r}")
-
-
-@dataclass(frozen=True)
 class AdmissibleFunction:
     """Threshold function over a finite characteristic scope: values
-    maps (layer, p) to the cut height."""
+    maps (layer, p) to the cut height, a non-negative int (not a bool)
+    or INF."""
 
     d: int
     primes: tuple[int, ...]
@@ -81,14 +64,21 @@ class AdmissibleFunction:
         check_window(self.d, self.primes)
         if len(self.values) != len(self.primes):
             raise ValueError("need one row of values per prime")
-        for p, row in zip(self.primes, self.values):
-            PAdmissibleFunction(self.d, p, row)
+        for row in self.values:
+            if len(row) != self.d:
+                raise ValueError("values length must equal d")
+            for v in row:
+                if v != INF and (type(v) is not int or v < 0):
+                    raise ValueError(f"threshold must be an int >= 0 or INF, got {v!r}")
 
     def value(self, k: int, p: int) -> NatInfinity:
         return self.values[self.primes.index(p)][k - 1]
 
-    def restrict(self, p: int) -> PAdmissibleFunction:
-        return PAdmissibleFunction(self.d, p, self.values[self.primes.index(p)])
+
+def PAdmissibleFunction(d: int, p: int, values) -> AdmissibleFunction:
+    """The threshold function of the single characteristic p:
+    values[k-1] is the cut height at layer k."""
+    return AdmissibleFunction(d, (p,), (tuple(values),))
 
 
 @lru_cache(maxsize=None)
@@ -114,8 +104,8 @@ def _ceiling(pairs, values) -> NatInfinity:
 def is_p_admissible(values, p: int, d: int) -> bool:
     """Whether every value is at most its layer's ceiling, that is,
     f(k) <= delta_p(k, l) + f(l) for every pair with p-1 | k-l >= 0.
-    The input is checked by PAdmissibleFunction."""
-    values = PAdmissibleFunction(d, p, tuple(values)).values
+    The input is checked by AdmissibleFunction."""
+    values = PAdmissibleFunction(d, p, values).values[0]
     return all(
         v <= _ceiling(pairs, values)
         for v, pairs in zip(values, _coupling_table(p, d))
@@ -150,20 +140,13 @@ def validate_thomason(points: frozenset, trunc: SpectrumTruncation) -> None:
         raise ValueError(f"member {pt} lies under no finite-height member")
 
 
-def _as_admissible(f) -> AdmissibleFunction:
-    if isinstance(f, AdmissibleFunction):
-        return f
-    if isinstance(f, PAdmissibleFunction):
-        return AdmissibleFunction(f.d, (f.p,), (f.values,))
-    raise TypeError(f"expected an admissible function, got {type(f)!r}")
-
-
 def thomason_from_function(f, trunc: SpectrumTruncation) -> frozenset:
     """The point set cut out by a threshold function: points of height
     strictly above the threshold of their column.  Rejects non-admissible
     input; raises :class:`TruncationError` when the window is too small
     to carry a faithful shadow of f."""
-    f = _as_admissible(f)
+    if not isinstance(f, AdmissibleFunction):
+        raise TypeError(f"expected an admissible function, got {type(f)!r}")
     if f.d != trunc.d or set(f.primes) != set(trunc.primes):
         raise ValueError("function scope does not match truncation")
     if not is_admissible(f):

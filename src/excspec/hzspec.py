@@ -11,6 +11,7 @@ and no quasi-compactness bookkeeping is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .balmer import BalmerPrime
@@ -92,17 +93,17 @@ def hz_admissible_subset(
     Y: Iterable[tuple[int, int]], d: int, primes: Iterable[int]
 ) -> bool:
     """Closure test characterizing the Thomason subsets: whether the
-    (layer, residue) pairs Y are specialization-closed in the
-    containment order :func:`hz_leq` on the points over the given
-    primes plus 0."""
-    prime_tuple = check_window(d, primes)
-    members = set()
-    for k, r in Y:
-        if not 1 <= k <= d or r not in (0,) + prime_tuple:
-            raise ValueError(f"point ({k},{r}) outside [d] x prime scope")
-        members.add(HZPrime(k, r))
-    return all(
-        a in members
-        for a in hz_points(d, prime_tuple)
-        if any(hz_leq(a, b) for b in members)
-    )
+    (layer, residue) pairs Y are specialization-closed in
+    :func:`hz_poset` over the given primes plus 0, that is, whether
+    their down-closure adds nothing.  A pair outside the poset raises
+    ValueError, and a window over the poset's POINT_BUDGET raises
+    BudgetError."""
+    members = frozenset(HZPrime(k, r) for k, r in Y)
+    poset = _window_poset(d, check_window(d, primes))
+    return poset.down_closure(members) == members
+
+
+@lru_cache(maxsize=8)
+def _window_poset(d: int, prime_tuple: tuple[int, ...]) -> Poset:
+    """hz_poset of one window, built once for repeated subset tests."""
+    return hz_poset(d, prime_tuple)

@@ -10,7 +10,7 @@ no gluing occurs, so the picture is uniform in all larger primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .burnside import BurnsidePresentation, RingElement
 from .combinat import check_window, is_prime
@@ -20,7 +20,6 @@ __all__ = [
     "ZariskiPrime",
     "zariski_prime",
     "canonical_layer",
-    "z_equal",
     "z_leq",
     "z_membership",
     "z_poset",
@@ -30,42 +29,43 @@ __all__ = [
 @dataclass(frozen=True, order=True)
 class ZariskiPrime:
     """A prime ideal: kernel-of-reduction at `layer` and characteristic
-    `char` (0 for the minimal primes).  Stored canonically."""
+    `char` (0 for the minimal primes).  Canonical by construction: the
+    layer is replaced by the minimal one of its gluing class.  The layer
+    as spelt is kept outside equality, hashing and order, only so that
+    :func:`z_membership` can refuse a spelling outside its rank."""
 
     layer: int
     char: int
+    spelt_layer: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "spelt_layer", self.layer)
+        object.__setattr__(self, "layer", canonical_layer(self.layer, self.char))
 
 
 def canonical_layer(layer: int, char: int) -> int:
-    """Minimal layer in the gluing class {j >= 1 : char-1 | j - layer}."""
-    if char == 0:
+    """Minimal layer in the gluing class {j >= 1 : char-1 | j - layer};
+    the layer itself when char < 2, where nothing glues."""
+    if char < 2:
         return layer
     return (layer - 1) % (char - 1) + 1
 
 
 def zariski_prime(d: int, layer: int, char: int) -> ZariskiPrime:
-    """Validated canonical point of the rank-d spectrum."""
+    """Validated point of the rank-d spectrum."""
     if not 1 <= layer <= d:
         raise ValueError(f"layer {layer} out of range 1..{d}")
     if char != 0 and not is_prime(char):
         raise ValueError(f"char must be 0 or prime, got {char}")
-    return ZariskiPrime(canonical_layer(layer, char), char)
-
-
-def z_equal(a: ZariskiPrime, b: ZariskiPrime) -> bool:
-    """Point equality: equal characteristics, with layers literally equal
-    at char 0 and equal modulo char-1 at positive char."""
-    if a.char != b.char:
-        return False
-    return canonical_layer(a.layer, a.char) == canonical_layer(b.layer, b.char)
+    return ZariskiPrime(layer, char)
 
 
 def z_leq(a: ZariskiPrime, b: ZariskiPrime) -> bool:
     """Ideal containment a <= b.  The order has height one: a minimal
     char-0 point lies under a closed char-p point exactly when their
     layers glue at p."""
-    return z_equal(a, b) or (
-        a.char == 0 < b.char and z_equal(ZariskiPrime(a.layer, b.char), b)
+    return a == b or (
+        a.char == 0 < b.char and canonical_layer(a.layer, b.char) == b.layer
     )
 
 
@@ -73,10 +73,11 @@ def z_membership(
     pres: BurnsidePresentation, a: RingElement, q: ZariskiPrime
 ) -> bool:
     """Whether element a lies in the prime q: the ghost component at the
-    stored layer vanishes identically (char 0) or mod p (char p)."""
+    stored layer vanishes identically (char 0) or mod p (char p).  A
+    point spelt with a layer outside 1..d raises ValueError."""
     if a.dim != pres.d:
         raise ValueError("element dimension does not match presentation")
-    if not 1 <= q.layer <= pres.d:
+    if not 1 <= q.spelt_layer <= pres.d:
         raise ValueError("prime layer out of range for presentation")
     value = pres.ghost(a)[q.layer - 1]
     return value == 0 if q.char == 0 else value % q.char == 0

@@ -5,7 +5,6 @@ import pytest
 from excspec import poset
 from excspec.balmer import (
     BalmerPrime,
-    b_equal,
     b_leq,
     b_truncation,
     balmer_prime,
@@ -18,7 +17,7 @@ from excspec.balmer import (
     tate_blueshift,
 )
 from excspec.combinat import INF, BudgetError, shortest_ppp_chain
-from excspec.zariski import ZariskiPrime, z_leq, z_poset
+from excspec.zariski import ZariskiPrime, canonical_layer, z_leq, z_poset
 
 
 class TestPoints:
@@ -27,9 +26,28 @@ class TestPoints:
         assert balmer_prime(3, 2, 2, 1).char == 0
 
     def test_equality(self):
-        assert b_equal(balmer_prime(3, 2, 2, 1), balmer_prime(3, 2, 3, 1))
-        assert not b_equal(balmer_prime(3, 2, 2, 3), balmer_prime(3, 2, 3, 3))
-        assert not b_equal(balmer_prime(3, 1, 2, 2), balmer_prime(3, 2, 2, 2))
+        assert balmer_prime(3, 2, 2, 1) == balmer_prime(3, 2, 3, 1)
+        assert balmer_prime(3, 2, 2, 3) != balmer_prime(3, 2, 3, 3)
+        assert balmer_prime(3, 1, 2, 2) != balmer_prime(3, 2, 2, 2)
+
+    @pytest.mark.parametrize("k, p", [(1, 2), (2, 3), (3, 7)])
+    def test_raw_rational_point_is_the_canonical_one(self, k, p):
+        raw = BalmerPrime(k, p, 1)
+        assert raw == BalmerPrime(k, 0, 1)
+        assert hash(raw) == hash(BalmerPrime(k, 0, 1))
+
+    def test_raw_rational_point_is_in_its_truncation(self):
+        assert BalmerPrime(2, 3, 1) in b_truncation(3, [2, 3], 2)
+
+    def test_truncation_order_is_b_leq_on_raw_spellings(self):
+        trunc = b_truncation(3, [2, 3], 3)
+        spellings = [
+            BalmerPrime(a.layer, p, 1) if a.height == 1 else a
+            for a in trunc.points
+            for p in (0, 2, 3)
+        ]
+        for a, b in itertools.product(spellings, repeat=2):
+            assert trunc.leq(a, b) == b_leq(a, b), (a, b)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -162,6 +180,21 @@ class TestComparisonMap:
         assert rho(balmer_prime(3, 3, 2, INF)) == ZariskiPrime(1, 2)
         assert rho(balmer_prime(3, 2, 0, 1)) == ZariskiPrime(2, 0)
         assert rho(balmer_prime(3, 2, 3, 5)) == ZariskiPrime(2, 3)
+
+    @pytest.mark.parametrize(
+        "d, primes, hmax, inf",
+        [(3, [2, 3], 3, True), (5, [2, 3, 5], 2, True), (7, [2, 7], 3, False)],
+    )
+    def test_matches_the_two_branch_formula(self, d, primes, hmax, inf):
+        # the two-branch formula, canonicalising by hand: height 1 on
+        # the char-0 layer point, else the glued char-p point
+        def oracle(a):
+            if a.height == 1:
+                return ZariskiPrime(a.layer, 0)
+            return ZariskiPrime(canonical_layer(a.layer, a.char), a.char)
+
+        for a in b_truncation(d, primes, hmax, inf).points:
+            assert rho(a) == oracle(a), a
 
     def test_order_reversal(self):
         trunc = b_truncation(4, [2, 3], 3, True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import listed_vectors
 
 from excspec import classify
-from excspec.balmer import b_truncation, balmer_prime
+from excspec.balmer import BalmerPrime, b_truncation, balmer_prime
 from excspec.classify import (
     AdmissibleFunction,
     PAdmissibleFunction,
@@ -134,8 +134,7 @@ class TestAdmissible:
         f = AdmissibleFunction(3, (2, 3), ((1, 2, 2), (1, INF, 2)))
         if is_admissible(f):
             for p in f.primes:
-                r = f.restrict(p)
-                assert is_p_admissible(r.values, p, f.d)
+                assert is_p_admissible(f.values[f.primes.index(p)], p, f.d)
 
     def test_per_prime_condition_shares_the_evaluator(self, monkeypatch):
         # the multi-prime check must route through the single-prime one
@@ -519,6 +518,11 @@ class TestUnionClosure:
     def test_empty(self):
         trunc = b_truncation(2, [2], 2, True)
         assert len(thomason_union_closure([], trunc)) == 0
+
+    def test_raw_rational_seed(self):
+        trunc = b_truncation(2, [2], 2, True)
+        closure = thomason_union_closure([BalmerPrime(1, 2, 1)], trunc)
+        assert closure == trunc.down_closure([BalmerPrime(1, 0, 1)])
 
     def test_rejects_infinite_seed(self):
         trunc = b_truncation(2, [2], 2, True)

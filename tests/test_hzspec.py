@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from excspec.balmer import b_leq, b_truncation
-from excspec.combinat import INF
+from excspec.combinat import INF, BudgetError
 from excspec.hzspec import (
     HZPrime,
     hz_admissible_subset,
@@ -130,6 +130,11 @@ class TestAdmissibleSubsets:
                 for k in range(l, d + 1, p - 1)
             )
             assert hz_admissible_subset(members, d, primes) == closed, members
+
+    def test_window_over_the_point_budget_is_refused(self):
+        # 601 layers over residues 0 and 2: 1202 points > POINT_BUDGET
+        with pytest.raises(BudgetError):
+            hz_admissible_subset([], 601, [2])
 
     def test_rejects_out_of_scope_points(self):
         with pytest.raises(ValueError):

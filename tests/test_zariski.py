@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from excspec.burnside import RingElement, present
 from excspec.zariski import (
     ZariskiPrime,
-    z_equal,
     z_leq,
     z_membership,
     z_poset,
@@ -26,18 +25,25 @@ def all_points(d, primes):
 
 class TestEquality:
     def test_gluing_at_two(self):
-        assert z_equal(zariski_prime(3, 1, 2), zariski_prime(3, 3, 2))
+        assert zariski_prime(3, 1, 2) == zariski_prime(3, 3, 2)
 
     def test_no_gluing_at_three_for_adjacent_layers(self):
-        assert not z_equal(zariski_prime(3, 1, 3), zariski_prime(3, 2, 3))
+        assert zariski_prime(3, 1, 3) != zariski_prime(3, 2, 3)
 
     def test_char_zero_points_distinct(self):
-        assert not z_equal(zariski_prime(3, 1, 0), zariski_prime(3, 2, 0))
+        assert zariski_prime(3, 1, 0) != zariski_prime(3, 2, 0)
 
     def test_canonical_layer_is_minimal(self):
         assert zariski_prime(5, 5, 3) == ZariskiPrime(1, 3)
         assert zariski_prime(5, 4, 3) == ZariskiPrime(2, 3)
         assert zariski_prime(9, 9, 5) == ZariskiPrime(1, 5)
+
+    def test_raw_glued_point_is_in_the_poset(self):
+        assert ZariskiPrime(3, 2) in z_poset(3, [2])
+
+    def test_char_one_constructs(self):
+        # canonical_layer leaves a char below 2 alone, so nothing divides by 0
+        assert ZariskiPrime(1, 1).layer == 1
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -46,14 +52,16 @@ class TestEquality:
             zariski_prime(3, 1, 6)
 
     def test_equivalence_relation_exhaustive(self):
+        # every spelling (layer, char): == is the gluing relation, equal
+        # chars with layers equal, or congruent mod char-1 at char p
         for d in (3, 8):
-            pts = all_points(d, PRIMES)
-            for a in pts:
-                assert z_equal(a, a)
-            for a, b in itertools.product(pts, repeat=2):
-                assert z_equal(a, b) == z_equal(b, a)
-                # canonical points: equality is structural
-                assert z_equal(a, b) == (a == b)
+            raw = [(i, c) for i in range(1, d + 1) for c in [0] + PRIMES]
+            for (i, p), (j, q) in itertools.product(raw, repeat=2):
+                a, b = zariski_prime(d, i, p), zariski_prime(d, j, q)
+                glued = p == q and (i == j or (p > 0 and (i - j) % (p - 1) == 0))
+                assert (a == b) == glued, (a, b)
+                if glued:
+                    assert hash(a) == hash(b)
 
 
 class TestOrder:
@@ -100,14 +108,24 @@ class TestMembership:
     def test_glued_primes_contain_same_elements(self, coeffs):
         pres = present(6)
         a = RingElement(coeffs)
+        ghost = pres.ghost(a)
         for p in (2, 3, 5, 7):
             for i in range(1, 7):
                 for j in range(1, 7):
                     if (i - j) % (p - 1) == 0:
-                        # membership may be probed at any layer of the class
-                        assert z_membership(
-                            pres, a, ZariskiPrime(i, p)
-                        ) == z_membership(pres, a, ZariskiPrime(j, p))
+                        # the ghost components of a glued pair vanish mod p
+                        # together, so the glued point has one answer
+                        assert (ghost[i - 1] % p == 0) == (ghost[j - 1] % p == 0)
+                assert z_membership(pres, a, zariski_prime(6, i, p)) == (
+                    ghost[i - 1] % p == 0
+                )
+
+    def test_rejects_layers_out_of_range(self):
+        pres = present(6)
+        with pytest.raises(ValueError):
+            z_membership(pres, pres.one(), ZariskiPrime(9, 3))
+        with pytest.raises(ValueError):
+            z_membership(pres, pres.one(), ZariskiPrime(0, 2))
 
     @given(
         a=st.tuples(*([st.integers(min_value=-5, max_value=5)] * 4)),

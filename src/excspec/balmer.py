@@ -63,8 +63,8 @@ def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPr
         raise ValueError(f"layer {layer} out of range 1..{d}")
     if height < 1:
         raise ValueError("height must be >= 1")
-    if height != 1 and not is_prime(char):
-        raise ValueError(f"char must be prime at height > 1, got {char}")
+    if not (is_prime(char) or char == 0 and height == 1):
+        raise ValueError(f"char must be prime, or 0 at height 1, got {char}")
     return BalmerPrime(layer, char, height)
 
 

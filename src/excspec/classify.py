@@ -295,7 +295,6 @@ def enumerate_p_admissible(
     p: int,
     hmax: int,
     with_list: bool = False,
-    budget: int = ENUM_BUDGET,
 ):
     """Count and optionally list the threshold vectors over the value set
     {0, ..., hmax, inf} satisfying the per-prime inequality.
@@ -306,14 +305,15 @@ def enumerate_p_admissible(
     layer d admits under it.  Flattened, the rows list the vectors in
     ascending order (lexicographic, inf last).  Since the inequality
     always bounds the larger layer, the walk prunes exactly.  A window
-    with more than `budget` candidate vectors is refused before any row.
+    with more than ENUM_BUDGET candidate vectors is refused before any
+    row.
     """
     check_window(d, (p,))
     if hmax < 0:
         raise ValueError("need hmax >= 0")
-    if (hmax + 2) ** d > budget:
+    if (hmax + 2) ** d > ENUM_BUDGET:
         raise BudgetError(
-            f"enumeration budget exceeded: ({hmax + 2})**{d} > {budget}"
+            f"enumeration budget exceeded: ({hmax + 2})**{d} > {ENUM_BUDGET}"
         )
     # the DP's work is within a small multiple of the walk's, so the
     # enumeration budget bounds both

@@ -239,10 +239,7 @@ def write_ideal_rows(rows, hmax: int, fmt: str) -> None:
 def cmd_ideals(args) -> int:
     _check_mode_flags(args)
     if args.mode == "list":
-        budget = int(os.environ.get("EXCSPEC_ENUM_BUDGET", classify.ENUM_BUDGET))
-        _, rows = classify.enumerate_p_admissible(
-            args.d, args.p, args.hmax, with_list=True, budget=budget
-        )
+        _, rows = classify.enumerate_p_admissible(args.d, args.p, args.hmax, with_list=True)
         write_ideal_rows(rows, args.hmax, args.format)
         return 0
     count = classify.count_p_admissible(args.d, args.p, args.hmax)

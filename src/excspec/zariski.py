@@ -10,7 +10,7 @@ no gluing occurs, so the picture is uniform in all larger primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .burnside import BurnsidePresentation, RingElement
 from .combinat import check_window, is_prime
@@ -30,16 +30,15 @@ __all__ = [
 class ZariskiPrime:
     """A prime ideal: kernel-of-reduction at `layer` and characteristic
     `char` (0 for the minimal primes).  Canonical by construction: the
-    layer is replaced by the minimal one of its gluing class.  The layer
-    as spelt is kept outside equality, hashing and order, only so that
-    :func:`z_membership` can refuse a spelling outside its rank."""
+    layer, which must be at least 1, is replaced by the minimal one of
+    its gluing class."""
 
     layer: int
     char: int
-    spelt_layer: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "spelt_layer", self.layer)
+        if self.layer < 1:
+            raise ValueError(f"layer must be >= 1, got {self.layer}")
         object.__setattr__(self, "layer", canonical_layer(self.layer, self.char))
 
 
@@ -74,10 +73,11 @@ def z_membership(
 ) -> bool:
     """Whether element a lies in the prime q: the ghost component at the
     stored layer vanishes identically (char 0) or mod p (char p).  A
-    point spelt with a layer outside 1..d raises ValueError."""
+    point whose canonical layer exceeds d raises ValueError; a glued
+    spelling past d answers as its canonical point."""
     if a.dim != pres.d:
         raise ValueError("element dimension does not match presentation")
-    if not 1 <= q.spelt_layer <= pres.d:
+    if q.layer > pres.d:
         raise ValueError("prime layer out of range for presentation")
     value = pres.ghost(a)[q.layer - 1]
     return value == 0 if q.char == 0 else value % q.char == 0

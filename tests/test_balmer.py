@@ -57,6 +57,17 @@ class TestPoints:
         with pytest.raises(ValueError):
             balmer_prime(3, 1, 2, 0)
 
+    def test_rejects_a_char_neither_zero_nor_prime_at_every_height(self):
+        for height in (1, 2, 5, INF):
+            for char in (4, 1, -3):
+                with pytest.raises(ValueError, match="char must be prime"):
+                    balmer_prime(3, 1, char, height)
+        # char 0 names the rational point only
+        for height in (2, 5, INF):
+            with pytest.raises(ValueError, match="char must be prime"):
+                balmer_prime(3, 1, 0, height)
+        assert balmer_prime(3, 1, 0, 1) == balmer_prime(3, 1, 5, 1)
+
 
 class TestOrder:
     def test_one_step_blueshift(self):

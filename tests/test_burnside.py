@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -139,11 +140,23 @@ class TestGhost:
             assert any(v != 0 for v in pres.ghost(a))
 
     def test_inverse_is_exact(self):
-        pres = present(8)
-        for i in range(8):
-            for j in range(8):
-                entry = sum(pres.M[i][m] * pres.Minv[m][j] for m in range(8))
-                assert entry == (1 if i == j else 0)
+        # (M^-1)_ij = s(i, j) / i!, signed Stirling numbers of the first
+        # kind from their recurrence, checked over every d present accepts
+        top = burnside.PRESENT_MAX_D
+        s = [[1] + [0] * top]
+        for n in range(1, top + 1):
+            prev = s[-1]
+            s.append([0] + [prev[k - 1] - (n - 1) * prev[k] for k in range(1, top + 1)])
+        for d in range(1, top + 1):
+            M = present(d).M
+            inverse = [
+                [Fraction(s[i][j], math.factorial(i)) for j in range(1, d + 1)]
+                for i in range(1, d + 1)
+            ]
+            for i in range(d):
+                for j in range(d):
+                    entry = sum(M[i][m] * inverse[m][j] for m in range(d))
+                    assert entry == (1 if i == j else 0), (d, i, j)
 
 
 class TestCokernel:
@@ -244,6 +257,23 @@ class TestRingCheck:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError):
             ghost_is_hom_check(3, trials=-4)
+
+    def test_trials_past_the_budget_refused_before_any_work(self, monkeypatch):
+        def no_work(d):
+            raise AssertionError("built a presentation")
+
+        monkeypatch.setattr(burnside, "present", no_work)
+        over = burnside.GHOST_TRIALS_BUDGET + 1
+        with pytest.raises(BudgetError, match="ghost trial budget exceeded"):
+            ghost_is_hom_check(16, trials=over)
+        with pytest.raises(BudgetError, match="ghost trial budget exceeded"):
+            ring_check(16, trials=over)
+
+    def test_trials_at_the_budget_run(self, monkeypatch):
+        monkeypatch.setattr(burnside, "GHOST_TRIALS_BUDGET", 3)
+        assert ghost_is_hom_check(4, trials=3)
+        with pytest.raises(BudgetError):
+            ghost_is_hom_check(4, trials=4)
 
     def test_ghost_failure_is_reported(self, monkeypatch):
         monkeypatch.setattr(burnside, "ghost_is_hom_check", lambda d, trials, seed: False)

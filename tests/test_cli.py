@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import dot_nodes_and_edges, invoke_cli, listed_vectors, tokenize_dot
 
-from excspec import classify, cli, combinat
+from excspec import burnside, classify, cli, combinat
 
 
 class TestMu:
@@ -130,6 +130,13 @@ class TestRing:
         code, _, err = run_cli(["ring", "99", "--table"])
         assert code == 2
 
+    def test_check_trials_budget_exit(self, run_cli):
+        over = str(burnside.GHOST_TRIALS_BUDGET + 1)
+        code, out, err = run_cli(["ring", "16", "--check", "--trials", over])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ghost trial budget exceeded")
+        assert "Traceback" not in err
+
 
 class TestSpec:
     def test_zariski_json_counts(self, run_cli):
@@ -233,10 +240,10 @@ class TestQueries:
         rows = json.loads(out)
         assert sorted(map(tuple, rows)) == [("0",), ("1",), ("inf",)]
 
-    def test_ideals_budget_env(self, run_cli, monkeypatch):
+    def test_ideals_budget(self, run_cli, monkeypatch):
         # the enumeration budget bounds --list only, and refuses before
         # the first byte
-        monkeypatch.setenv("EXCSPEC_ENUM_BUDGET", "4")
+        monkeypatch.setattr(classify, "ENUM_BUDGET", 4)
         code, out, err = run_cli(["ideals", "2", "2", "1", "--list"])
         assert code == 2 and out == ""
         assert "budget" in err

@@ -1,7 +1,8 @@
 """excspec does not use numpy: the package, the CLI (the brute-force `mu`
-oracle included) and both scripts run with numpy unimportable.  Each
-run happens in a fresh interpreter, so that what this test session has
-loaded does not count."""
+oracle included) and both scripts run with numpy unimportable.  Nor does
+its runtime path load `fractions` or `decimal`, whose import a cold query
+would pay.  Each run happens in a fresh interpreter, so that what this
+test session has loaded does not count."""
 
 import json
 import os
@@ -61,6 +62,26 @@ for script, args in json.loads(sys.argv[2]):
 print(json.dumps(steps))
 """
 
+# Imports excspec.cli, runs each argv of sys.argv[1] through cli.main,
+# then imports fractions, and prints which of the fenced stdlib modules
+# were loaded after each of the three steps.
+STDLIB_FENCE = """
+import contextlib, io, json, sys
+fenced = ("fractions", "decimal")
+steps = []
+def step():
+    steps.append([name for name in fenced if name in sys.modules])
+from excspec import cli
+step()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+step()
+import fractions
+step()
+print(json.dumps(steps))
+"""
+
 # Runs cli.main on sys.argv[1:] with numpy made unimportable.
 WITHOUT_NUMPY = """
 import sys
@@ -108,6 +129,13 @@ def test_fence_sees_numpy_load(tmp_path):
     (_, code, brute, before), (_, _, _, after) = steps[-2:]
     assert (code, brute, before) == (0, "90\n", False)
     assert after
+
+
+def test_runtime_path_never_imports_fractions_or_decimal():
+    done = _python("-c", STDLIB_FENCE, json.dumps(NUMPY_FREE_ARGVS))
+    assert done.returncode == 0, done.stderr
+    # the last step shows the fence sees a load: fractions imports decimal
+    assert json.loads(done.stdout) == [[], [], ["fractions", "decimal"]]
 
 
 @pytest.mark.parametrize("argv, out", [

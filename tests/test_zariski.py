@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excspec.burnside import RingElement, present
+from excspec.burnside import PRESENT_MAX_D, RingElement, present
 from excspec.zariski import (
     ZariskiPrime,
     z_leq,
@@ -14,6 +14,7 @@ from excspec.zariski import (
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+PRIMES_BELOW_30 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def all_points(d, primes):
@@ -44,6 +45,11 @@ class TestEquality:
     def test_char_one_constructs(self):
         # canonical_layer leaves a char below 2 alone, so nothing divides by 0
         assert ZariskiPrime(1, 1).layer == 1
+
+    @pytest.mark.parametrize("layer, char", [(0, 2), (0, 0), (-1, 5), (-3, 0)])
+    def test_rejects_a_layer_below_one(self, layer, char):
+        with pytest.raises(ValueError, match="layer must be >= 1"):
+            ZariskiPrime(layer, char)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -123,9 +129,31 @@ class TestMembership:
     def test_rejects_layers_out_of_range(self):
         pres = present(6)
         with pytest.raises(ValueError):
-            z_membership(pres, pres.one(), ZariskiPrime(9, 3))
-        with pytest.raises(ValueError):
             z_membership(pres, pres.one(), ZariskiPrime(0, 2))
+        with pytest.raises(ValueError):
+            z_membership(pres, pres.one(), ZariskiPrime(9, 0))
+        with pytest.raises(ValueError):
+            zariski_prime(6, 9, 3)
+        # a glued spelling past d is its canonical point, which is in range
+        x2 = pres.basis(2)
+        assert ZariskiPrime(9, 3) == ZariskiPrime(1, 3)
+        assert z_membership(pres, x2, ZariskiPrime(9, 3)) == z_membership(
+            pres, x2, ZariskiPrime(1, 3)
+        )
+
+    def test_basis_membership_is_the_ghost_matrix_mod_p(self):
+        # x_j lies in the prime (i, p) iff the ghost entry M[i][j] vanishes
+        # mod p (char 0: vanishes), over every window the presentation allows
+        for d in range(1, PRESENT_MAX_D + 1):
+            pres = present(d)
+            basis = [pres.basis(j) for j in range(1, d + 1)]
+            for p in [0] + PRIMES_BELOW_30:
+                for i in range(1, d + 1):
+                    q = zariski_prime(d, i, p)
+                    row = pres.M[i - 1]
+                    for j, x in enumerate(basis):
+                        vanishes = row[j] == 0 if p == 0 else row[j] % p == 0
+                        assert z_membership(pres, x, q) == vanishes, (d, i, j, p)
 
     @given(
         a=st.tuples(*([st.integers(min_value=-5, max_value=5)] * 4)),
@@ -178,3 +206,36 @@ class TestPoset:
             z_poset(3, [])
         with pytest.raises(ValueError):
             z_poset(3, [4])
+
+
+class TestDressOracle:
+    """The spectrum read off the ghost matrix alone, a la Dress: every
+    prime is the pullback of a prime of Z along a ghost component.  The
+    char-0 points are one per layer; the char-p points are the distinct
+    rows of M mod p, each named by its least layer; and (i, 0) lies under
+    the char-p point of row j iff rows i and j agree mod p."""
+
+    @staticmethod
+    def dress_spectrum(d, p):
+        rows = [tuple(m % p for m in row) for row in present(d).M]
+        name = {}  # row mod p -> least layer with that row
+        for i, row in enumerate(rows, start=1):
+            name.setdefault(row, i)
+        points = {(i, 0) for i in range(1, d + 1)} | {(j, p) for j in name.values()}
+        relation = {((i, 0), (name[row], p)) for i, row in enumerate(rows, start=1)}
+        covers = {
+            (a, b)
+            for a, b in relation
+            if not any((a, c) in relation and (c, b) in relation for c in points)
+        }
+        return points, relation, covers
+
+    def test_matches_z_poset_on_every_window(self):
+        for d in range(1, PRESENT_MAX_D + 1):
+            for p in PRIMES_BELOW_30:
+                poset = z_poset(d, [p])
+                pts = [(q.layer, q.char) for q in poset.points]
+                points, relation, covers = self.dress_spectrum(d, p)
+                assert set(pts) == points and len(pts) == len(points), (d, p)
+                assert {(pts[a], pts[b]) for a, b in poset.relation} == relation, (d, p)
+                assert {(pts[a], pts[b]) for a, b in poset.covers} == covers, (d, p)

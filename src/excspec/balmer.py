@@ -13,17 +13,19 @@ Truncations materialize the finitely many points with height at most
 Hmax (plus, optionally, the height-infinity points, which Thomason
 bookkeeping must treat specially) together with the containment order,
 stored as each point's up-set bitset.  The points of one layer and one
-prime form a chain in height, (k,p,INF) <= ... <= (k,p,2) <= (k,0,1),
-and the order sweep walks each such chain from the top.
+prime form a column, a chain in height (k,p,INF) <= ... <= (k,p,2) <=
+(k,0,1).  A point of column (k, p) lies only under points of the
+columns (l, p) with l <= k and delta_p(k, l) finite, and its up-set
+meets each such column in a top segment, so the builder finds each
+segment by bisection with `b_leq` instead of sweeping every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 from .combinat import INF, NatInfinity, check_window, delta_p, is_prime
-from .poset import Poset, build_poset
+from .poset import Poset, check_point_budget
 from .zariski import ZariskiPrime
 
 __all__ = [
@@ -107,27 +109,50 @@ def b_truncation(
     hmax: int,
     include_infinity: bool = True,
 ) -> SpectrumTruncation:
-    """Materialize the finite truncated spectrum and its full order."""
+    """Materialize the finite truncated spectrum and its full order.
+
+    Points come layer by layer: the rational point (k, 0, 1), then for
+    each prime p its column (k, p, 2..hmax), with (k, p, INF) last when
+    flagged.  A rational point lies under no other point.  For a point a
+    of column (k, p) and each layer l <= k with delta_p(k, l) finite, one
+    `b_leq` call decides (l, 0, 1) and, when a lies under it, bisection
+    with `b_leq` finds the top segment of column (l, p) above a; by
+    `b_leq`'s definition no other point lies above a.  The point count
+    is checked against the budget before any point is made."""
     if hmax < 1:
         raise ValueError("hmax must be >= 1")
     prime_tuple = check_window(d, primes)
-    # one top-down chain per layer and prime, its heights 2..hmax (and
-    # INF); the layer's rational point heads the first prime's chain.
-    # Lazy, so build_poset's budget bounds the work at any hmax.
-    heights = range(2, hmax + 1)
     tail = (INF,) if include_infinity else ()
-    columns = (
-        chain(
-            (BalmerPrime(k, 0, 1),) if p == prime_tuple[0] else (),
-            map(BalmerPrime, repeat(k), repeat(p), chain(heights, tail)),
-        )
-        for k in range(1, d + 1)
-        for p in prime_tuple
-    )
-    poset = build_poset(columns, b_leq)
+    depth = hmax - 1 + len(tail)  # points per column
+    check_point_budget(d * (1 + len(prime_tuple) * depth))
+    heights = (*range(2, hmax + 1), *tail)
+    points, columns = [], {}  # (k, p) -> (rational index, column start)
+    for k in range(1, d + 1):
+        rational = len(points)
+        points.append(BalmerPrime(k, 0, 1))
+        for p in prime_tuple:
+            columns[k, p] = (rational, len(points))
+            points.extend(BalmerPrime(k, p, h) for h in heights)
+    above = [0] * len(points)
+    for (k, p), (_, start) in columns.items():
+        reachable = [columns[l, p] for l in range(k, 0, -1) if delta_p(p, k, l) != INF]
+        for i in range(start, start + depth):
+            a, up = points[i], 0
+            for rational, top in reachable:
+                if not b_leq(a, points[rational]):
+                    continue
+                lo, hi = top, top + depth  # bisect for the first miss
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if b_leq(a, points[mid]):
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                up |= 1 << rational | (1 << lo) - (1 << top)
+            above[i] = up & ~(1 << i)
     return SpectrumTruncation(
-        points=poset.points,
-        above=poset.above,
+        points=tuple(points),
+        above=tuple(above),
         d=d,
         primes=prime_tuple,
         hmax=hmax,

@@ -47,34 +47,32 @@ def hz_label(pt: hzspec.HZPrime) -> str:
 
 
 def poset_to_dot(poset: Poset, label, graph_name: str) -> str:
+    labels = [label(node) for node in poset.points]
     lines = [f"digraph {graph_name} {{"]
     lines.append("  rankdir=TB;  // containment arrows point downward")
     lines.append("  node [shape=box];")
-    for node in poset.points:
-        lines.append(f'  "{label(node)}";')
-    for a, b in poset.covers:
-        lines.append(f'  "{label(poset.points[a])}" -> "{label(poset.points[b])}";')
+    lines.extend(f'  "{text}";' for text in labels)
+    lines.extend(f'  "{labels[a]}" -> "{labels[b]}";' for a, b in poset.covers)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def poset_to_json(poset: Poset, point_dict) -> str:
+    # json.dumps writes the index-pair tuples as arrays
     payload = {
         "points": [point_dict(node) for node in poset.points],
-        "covers": [list(pair) for pair in poset.covers],
-        "relation": [list(pair) for pair in poset.relation],
+        "covers": poset.covers,
+        "relation": poset.relation,
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def poset_to_text(poset: Poset, label) -> str:
-    lines = [f"points: {len(poset.points)}"]
-    lines.extend(f"  {label(node)}" for node in poset.points)
+    labels = [label(node) for node in poset.points]
+    lines = [f"points: {len(labels)}"]
+    lines.extend(f"  {text}" for text in labels)
     lines.append(f"covers: {len(poset.covers)}")
-    lines.extend(
-        f"  {label(poset.points[a])} <= {label(poset.points[b])}"
-        for a, b in poset.covers
-    )
+    lines.extend(f"  {labels[a]} <= {labels[b]}" for a, b in poset.covers)
     return "\n".join(lines) + "\n"
 
 
@@ -88,7 +86,10 @@ def _parse_primes(text: str) -> list[int]:
 def _parse_natinf(text: str):
     if text == "inf":
         return INF
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"height must be an integer or 'inf', got {text!r}") from None
 
 
 def _check_mode_flags(args) -> None:

@@ -305,8 +305,10 @@ class Partition:
         return f"Partition{self.parts}"
 
 
+@lru_cache(maxsize=None)
 def digit_sum(k: int, p: int) -> int:
-    """Sum of the base-p digits of k."""
+    """Sum of the base-p digits of k.  Cached, since delta_p reads it for
+    every comparison of a spectrum build."""
     if k < 1:
         raise ValueError("digit_sum requires k >= 1")
     _require_prime(p)

@@ -86,7 +86,7 @@ def hz_poset(d: int, primes: Iterable[int], residue: int | None = None) -> Poset
         if residue not in residues:
             raise ValueError(f"--slice must be 0 or one of the primes, got {residue}")
         residues = (residue,)
-    return build_poset(((q,) for q in _hz_stream(d, residues)), hz_leq)
+    return build_poset(_hz_stream(d, residues), hz_leq)
 
 
 def hz_admissible_subset(

@@ -3,9 +3,10 @@ order, and Hasse cover edges.  The order is stored in one form, the
 strict up-set of each point as a Python-int bitset (bit b of `above[a]`
 is set iff a < b).  `leq`, covers, down-sets, minimal and maximal points
 read it, and the index-pair `relation` is derived from it.  Covers and
-the relation are computed on first use.  `build_poset` is the one way a
-spectrum becomes a Poset: it sweeps the order chain by chain, and it
-owns the point budget of that quadratic sweep."""
+the relation are computed on first use.  `POINT_BUDGET` bounds every
+spectrum: `build_poset`, the pairwise sweep behind the Zariski and HZ
+spectra, and `balmer.b_truncation`, which bisects its columns instead,
+both refuse an oversized window through `check_point_budget`."""
 
 from __future__ import annotations
 
@@ -16,9 +17,22 @@ from typing import Callable, Iterable
 
 from .combinat import BudgetError
 
-__all__ = ["POINT_BUDGET", "Poset", "build_poset", "transitive_reduction"]
+__all__ = [
+    "POINT_BUDGET",
+    "Poset",
+    "build_poset",
+    "check_point_budget",
+    "transitive_reduction",
+]
 
-POINT_BUDGET = 1200  # most points a poset materializes (quadratic sweep)
+POINT_BUDGET = 1200  # most points a poset materializes (quadratic bitsets)
+
+
+def check_point_budget(n_points: int) -> None:
+    """Raise BudgetError when n_points exceeds POINT_BUDGET, read at call
+    time."""
+    if n_points > POINT_BUDGET:
+        raise BudgetError(f"poset budget exceeded: more than {POINT_BUDGET} points")
 
 
 @dataclass(frozen=True)
@@ -93,51 +107,38 @@ def transitive_reduction(above: tuple[int, ...]) -> tuple:
     ascending: (a, b) is a cover iff a < b with no c strictly between.
     The covers of a are `above[a]` minus the union of `above[c]` over
     every c in `above[a]`; a c already in that union adds nothing by
-    transitivity and is skipped.  The unions cost at most one OR of n-bit
-    integers per relation pair: O(|R|) operations of about n/64 machine
-    words each, against O(|R|·n) steps for testing every point as a
-    middle point of every pair."""
+    transitivity and is skipped, so the result is exact in any visiting
+    order.  Taking the highest remaining bit first visits the points
+    nearest a first when, as in every spectrum here, points are listed
+    from the top of the order down; their up-sets then clear the rest,
+    so the loop runs about once per cover, an OR of n-bit integers
+    (about n/64 machine words) each, and at most once per relation
+    pair."""
     covers = []
     for a, up in enumerate(above):
         through, rest = 0, up
         while rest:
-            low = rest & -rest
-            through |= above[low.bit_length() - 1]
-            rest &= ~(through | low)
+            c = rest.bit_length() - 1
+            through |= above[c]
+            rest &= ~(through | 1 << c)
         covers.extend((a, b) for b in _bits(up & ~through))
     return tuple(covers)
 
 
-def build_poset(chains: Iterable[Iterable], leq: Callable) -> Poset:
-    """Assemble a Poset from points given as chains and a reflexive order
-    predicate.  Each chain lists its points from the top down, so each
-    point is <= the one before it; the point order is the chains
-    concatenated, so deterministic input yields deterministic
-    serialization.  Row a walks down each chain and stops at the first b
-    with not leq(a, b): by transitivity the up-set of a meets a chain in a
-    top segment, so the pruning is exact for any poset, and every bit
-    set is one that leq decided.  One-point chains give the plain sweep
-    over all ordered pairs.  At most POINT_BUDGET + 1 points are read, so
-    an oversized window raises BudgetError before any pair is compared."""
-    runs, points = [], []
-    for run in chains:
-        run = tuple(islice(run, POINT_BUDGET + 1 - len(points)))
-        if run:
-            runs.append((len(points), run[0], run[1:]))
-            points.extend(run)
-        if len(points) > POINT_BUDGET:
-            raise BudgetError(f"poset budget exceeded: more than {POINT_BUDGET} points")
+def build_poset(points: Iterable, leq: Callable) -> Poset:
+    """Assemble a Poset from points and a reflexive order predicate by
+    the plain sweep: leq decides every ordered pair of distinct points.
+    The point order is the input order, so deterministic input yields
+    deterministic serialization.  At most POINT_BUDGET + 1 points are
+    read, so an oversized window raises BudgetError before any pair is
+    compared."""
+    points = tuple(islice(points, POINT_BUDGET + 1))
+    check_point_budget(len(points))
     above = []
     for i, a in enumerate(points):
         up = 0
-        for start, head, rest in runs:
-            if start != i and not leq(a, head):
-                continue  # the common case: one call, no bit
-            j = start + 1
-            for b in rest:
-                if j != i and not leq(a, b):
-                    break
-                j += 1
-            up |= (1 << j) - (1 << start)
-        above.append(up & ~(1 << i))
-    return Poset(points=tuple(points), above=tuple(above))
+        for j, b in enumerate(points):
+            if j != i and leq(a, b):
+                up |= 1 << j
+        above.append(up)
+    return Poset(points=points, above=tuple(above))

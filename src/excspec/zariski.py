@@ -94,4 +94,4 @@ def z_poset(d: int, primes: list[int]) -> Poset:
         for char in (0,) + prime_tuple
         if canonical_layer(layer, char) == layer
     )
-    return build_poset(((q,) for q in points), z_leq)
+    return build_poset(points, z_leq)

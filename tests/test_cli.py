@@ -213,6 +213,14 @@ class TestQueries:
         assert code == 0
         assert "HOLDS" in out
 
+    @pytest.mark.parametrize("height", ["x", "2.5", "", "INF"])
+    def test_smith_names_a_bad_height(self, run_cli, height):
+        for argv in (["smith", "3", "3", "1", "1", height, "0"],
+                     ["smith", "3", "3", "1", "1", "0", height]):
+            code, out, err = run_cli(argv)
+            assert code == 2 and out == ""
+            assert err == f"error: height must be an integer or 'inf', got {height!r}\n"
+
     def test_delta_with_a_large_prime_answers_at_once(self, run_cli):
         start = time.perf_counter()
         code, out, _ = run_cli(["delta", "1000000000000000003", "5", "1"])

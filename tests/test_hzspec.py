@@ -154,7 +154,7 @@ class TestPoset:
                 points = [
                     q for q in hz_points(d, primes) if residue is None or q.residue == residue
                 ]
-                expected = build_poset(((q,) for q in points), hz_leq)
+                expected = build_poset(points, hz_leq)
                 got = hz_poset(d, primes, residue)
                 assert got.points == expected.points
                 assert got.relation == expected.relation

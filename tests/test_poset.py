@@ -89,11 +89,22 @@ class TestCoversAndDownSetsMatchDefinitions:
         assert_matches_definitions(pos)
 
 
+# windows beyond the criteria: long columns (1200 points, the whole
+# budget), primes above d, and columns of one point or none
+BISECTION_WINDOWS = [
+    (600, (2,), 2, False),
+    (4, (2,), 299, True),
+    (3, (5, 7), 4, True),
+    (5, (2, 3), 1, True),
+    (5, (2, 3), 1, False),
+]
+
+
 class TestRelationMatchesPredicate:
     """`relation` against the module's own order predicate over every
     ordered pair, which never reads the stored bitsets that `Poset.leq`
-    reads: the unpruned sweep, oracle for `build_poset`'s chain walk,
-    which stops each chain at its first miss."""
+    reads: the flat sweep, oracle for `b_truncation`'s column bisection
+    and equal to `build_poset`'s sweep by definition."""
 
     @staticmethod
     def assert_relation_matches(pos: Poset, leq) -> None:
@@ -106,9 +117,7 @@ class TestRelationMatchesPredicate:
             if i != j and leq(a, b)
         )
 
-    @pytest.mark.parametrize(
-        "args", CRITERIA_TRUNCATIONS + [(600, (2,), 2, False)], ids=str
-    )
+    @pytest.mark.parametrize("args", CRITERIA_TRUNCATIONS + BISECTION_WINDOWS, ids=str)
     def test_criteria_truncations(self, args):
         self.assert_relation_matches(b_truncation(*args), b_leq)
 
@@ -121,39 +130,49 @@ class TestRelationMatchesPredicate:
     def test_hz(self, d, residue):
         self.assert_relation_matches(hz_poset(d, PRIMES_TO_13, residue), hz_leq)
 
-    def test_one_point_chains_compare_every_ordered_pair_once(self):
+    def test_sweep_compares_every_ordered_pair_once(self):
         pairs = []
 
         def leq(a, b):
             pairs.append((a, b))
             return a <= b
 
-        build_poset(((i,) for i in range(6)), leq)
+        build_poset(range(6), leq)
         assert sorted(pairs) == [(a, b) for a in range(6) for b in range(6) if a != b]
 
-    @pytest.mark.parametrize("args", CRITERIA_TRUNCATIONS, ids=str)
-    def test_truncation_runs_are_top_down_chains(self, monkeypatch, args):
-        runs = []
+    @pytest.mark.parametrize("args", CRITERIA_TRUNCATIONS + BISECTION_WINDOWS, ids=str)
+    def test_bisected_columns_are_top_down_chains(self, monkeypatch, args):
+        """Bisection is exact only on a chain listed from the top down:
+        every column that b_truncation probes must be the contiguous run
+        of its (layer, char) points, each under the one before, headed by
+        the layer's rational point."""
+        probed = set()
 
-        def spy(chains, leq):
-            runs.extend(tuple(run) for run in chains)
-            return build_poset(runs, leq)
+        def spy(a, b):
+            probed.add(b)
+            return b_leq(a, b)
 
-        monkeypatch.setattr(balmer, "build_poset", spy)
+        monkeypatch.setattr(balmer, "b_leq", spy)
         trunc = b_truncation(*args)
-        assert trunc.points == tuple(pt for run in runs for pt in run)
-        for run in runs:
-            assert all(b_leq(b, a) for a, b in zip(run, run[1:]))
+        columns = {(pt.layer, pt.char) for pt in trunc.points if pt.height != 1}
+        assert {(b.layer, b.char) for b in probed if b.height != 1} == columns
+        for layer, char in columns:
+            run = [
+                i for i, pt in enumerate(trunc.points) if (pt.layer, pt.char) == (layer, char)
+            ]
+            assert run == list(range(run[0], run[-1] + 1))
+            chain = [BalmerPrime(layer, 0, 1), *(trunc.points[i] for i in run)]
+            assert all(b_leq(b, a) for a, b in zip(chain, chain[1:]))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_random_orders_and_chains(self, data):
+    def test_random_orders(self, data):
         """A random order on range(n), in which x < y only if x < y as
-        ints, cut into chains greedily from the top: each point joins the
-        first chain whose lowest point lies above it."""
+        ints, swept with its points in a random order."""
         n = data.draw(st.integers(0, 30))
         vertex = st.integers(0, max(n - 1, 0))
         edges = data.draw(st.sets(st.tuples(vertex, vertex)))
+        order = data.draw(st.permutations(range(n)))
         up = [{b for a, b in edges if a == c < b} for c in range(n)]
         for c in reversed(range(n)):  # every b in up[c] is > c, so already closed
             for b in list(up[c]):
@@ -162,15 +181,8 @@ class TestRelationMatchesPredicate:
         def leq(a, b):
             return a == b or b in up[a]
 
-        runs = []
-        for c in reversed(range(n)):
-            run = next((r for r in runs if leq(c, r[-1])), None)
-            if run is None:
-                runs.append([c])
-            else:
-                run.append(c)
-        pos = build_poset(runs, leq)
-        assert pos.points == tuple(c for run in runs for c in run)
+        pos = build_poset(order, leq)
+        assert pos.points == tuple(order)
         self.assert_relation_matches(pos, leq)
 
 
@@ -191,7 +203,7 @@ class TestPointsOutside:
 
 
 def test_covers_of_a_total_order_at_the_budget():
-    total = build_poset(((i,) for i in range(poset.POINT_BUDGET)), operator.le)
+    total = build_poset(range(poset.POINT_BUDGET), operator.le)
     assert total.covers == tuple((i, i + 1) for i in range(poset.POINT_BUDGET - 1))
     assert total.minimal() == [0]
     assert total.maximal() == [poset.POINT_BUDGET - 1]
@@ -225,9 +237,37 @@ class TestBudget:
         monkeypatch.setattr(poset, "POINT_BUDGET", 5)
         nodes = itertools.count()
         with pytest.raises(BudgetError):
-            build_poset([nodes], leq)
+            build_poset(nodes, leq)
         assert next(nodes) == 6  # read budget + 1 points, no more
-        nodes = itertools.count()
-        with pytest.raises(BudgetError):
-            build_poset(((i,) for i in nodes), leq)
-        assert next(nodes) == 6
+
+    @pytest.mark.parametrize(
+        "d, primes, hmax, inf",
+        [
+            (2, (2,), 2, True),
+            (3, (2, 5), 3, False),
+            (4, (2, 3), 1, True),
+            (1, (2,), 10**12, True),
+        ],
+    )
+    def test_oversized_truncation_is_refused_before_any_comparison(
+        self, monkeypatch, d, primes, hmax, inf
+    ):
+        """b_truncation counts its points in closed form and checks them
+        against POINT_BUDGET as it reads at call time: one point fewer
+        than the window is refused with no b_leq or delta_p call."""
+        calls = []
+
+        def spy(fn):
+            def counted(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(balmer, "b_leq", spy(balmer.b_leq))
+        monkeypatch.setattr(balmer, "delta_p", spy(balmer.delta_p))
+        n_points = d * (1 + len(primes) * (hmax - 1 + inf))
+        monkeypatch.setattr(poset, "POINT_BUDGET", n_points - 1)
+        with pytest.raises(BudgetError, match=f"more than {n_points - 1} points"):
+            b_truncation(d, primes, hmax, inf)
+        assert calls == []

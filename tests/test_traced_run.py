@@ -64,10 +64,10 @@ def test_rebound_module_functions_are_called(monkeypatch):
     assert calls["reduction"] == 1
 
 
-def test_rebound_b_leq_count_keeps_the_chain_pruning(monkeypatch):
+def test_rebound_b_leq_count_keeps_the_column_bisection(monkeypatch):
     # d=14 over the primes up to 13 at H=10: 854 points, 728,462 pairs of
-    # distinct points; the chain walk of build_poset compares about
-    # 85,000 of them
+    # distinct points; b_truncation's column bisection compares 11,390
+    # of them
     calls = 0
     b_leq = balmer.b_leq
 
@@ -79,7 +79,7 @@ def test_rebound_b_leq_count_keeps_the_chain_pruning(monkeypatch):
     monkeypatch.setattr(balmer, "b_leq", counted)
     trunc = balmer.b_truncation(14, (2, 3, 5, 7, 11, 13), 10)
     assert len(trunc.points) == 854
-    assert 0 < calls <= 90_000
+    assert 0 < calls <= 15_000
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]])

@@ -60,11 +60,12 @@ class BalmerPrime:
 
 
 def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPrime:
-    """Validated point for the degree-d window."""
+    """Validated point for the degree-d window: the height is an int
+    >= 1 (not a bool) or INF."""
     if not 1 <= layer <= d:
         raise ValueError(f"layer {layer} out of range 1..{d}")
-    if height < 1:
-        raise ValueError("height must be >= 1")
+    if height != INF and (type(height) is not int or height < 1):
+        raise ValueError(f"height must be an int >= 1 or INF, got {height!r}")
     if not (is_prime(char) or char == 0 and height == 1):
         raise ValueError(f"char must be prime, or 0 at height 1, got {char}")
     return BalmerPrime(layer, char, height)
@@ -210,25 +211,21 @@ def open_embedding_check(
 ) -> bool:
     """Whether relabelling (k, p, h) identifies the degree-m truncation
     with an open, order-embedded piece of the degree-d truncation whose
-    complement is the support of the generators above layer m."""
+    complement is the support of the generators above layer m.
+
+    `b_truncation` lists its points layer by layer, so the check is a
+    prefix test: the degree-m points and up-sets begin the degree-d
+    ones, and every later point has layer above m."""
     if not 1 <= m <= d:
         raise ValueError("need 1 <= m <= d")
     small = b_truncation(m, primes, hmax, include_infinity)
     big = b_truncation(d, primes, hmax, include_infinity)
-    image = set()
-    for a in small.points:
-        if a not in big:
-            return False
-        image.add(a)
-    for a in small.points:
-        for b in small.points:
-            if small.leq(a, b) != big.leq(a, b):
-                return False
-    if m == d:
-        expected = set(big.points)
-    else:
-        expected = set(big.points) - generator_support(big, m + 1)
-    return image == expected
+    n = len(small.points)
+    return (
+        big.points[:n] == small.points
+        and big.above[:n] == small.above
+        and all(a.layer > m for a in big.points[n:])
+    )
 
 
 def smith_points(

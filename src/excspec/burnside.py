@@ -236,67 +236,48 @@ def ring_check(d: int, trials: int = 50, seed: int = 0) -> dict[str, bool]:
 
 def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     """Diagonal of the Smith normal form of a square integer matrix, as
-    non-negative invariant factors d_1 | d_2 | ... .
+    non-negative invariant factors d_1 | d_2 | ..., zeros last.
 
-    Pivots are chosen by minimal absolute value; entries here grow like
-    i!, and naive pivoting causes coefficient explosion.
+    One elimination loop.  Each round moves an entry of least absolute
+    value in the remaining block to the pivot (entries here grow like
+    i!, and naive pivoting causes coefficient explosion) and clears the
+    pivot's row and column by division with remainder.  A remainder, or
+    an entry of the block that the pivot does not divide (its row is
+    added to the pivot row), leaves a smaller entry for the next round.
+    So each pivot ends dividing its whole block, and the chain holds by
+    construction.
     """
     a = [row[:] for row in matrix]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("smith_normal_form expects a square matrix")
-
-    def min_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        for r in range(t, n):
-            for c in range(t, n):
-                if a[r][c] != 0 and (best is None or abs(a[r][c]) < abs(a[best[0]][best[1]])):
-                    best = (r, c)
-        return best
-
     for t in range(n):
         while True:
-            pos = min_pivot(t)
-            if pos is None:
+            block = [(abs(a[r][c]), r, c) for r in range(t, n) for c in range(t, n) if a[r][c]]
+            if not block:
                 break
-            r, c = pos
+            _, r, c = min(block)  # a tie keeps the pivot in its place
             a[t], a[r] = a[r], a[t]
             for row in a:
                 row[t], row[c] = row[c], row[t]
             pivot = a[t][t]
-            dirty = False
             for r in range(t + 1, n):
                 q = a[r][t] // pivot
                 if q:
                     for c in range(t, n):
                         a[r][c] -= q * a[t][c]
-                if a[r][t]:
-                    dirty = True
             for c in range(t + 1, n):
                 q = a[t][c] // pivot
                 if q:
                     for r in range(t, n):
                         a[r][c] -= q * a[r][t]
-                if a[t][c]:
-                    dirty = True
-            if not dirty:
+            if any(a[r][t] for r in range(t + 1, n)) or any(a[t][t + 1 :]):
+                continue  # a remainder is left: the next, smaller pivot
+            r = next((r for r in range(t + 1, n) if any(x % pivot for x in a[r][t + 1 :])), None)
+            if r is None:
                 break
-
-    diag = [abs(a[i][i]) for i in range(n)]
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if diag[i] == 0 and diag[j] != 0:
-                    diag[i], diag[j] = diag[j], diag[i]
-                    changed = True
-                elif diag[i] and diag[j] % diag[i] != 0:
-                    g = math.gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    return diag
+            a[t] = [x + y for x, y in zip(a[t], a[r])]
+    return [abs(a[i][i]) for i in range(n)]
 
 
 def cokernel_invariants(d: int) -> list[int]:

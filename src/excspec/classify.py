@@ -35,6 +35,7 @@ __all__ = [
     "function_from_thomason",
     "count_p_admissible",
     "enumerate_p_admissible",
+    "threshold_values",
     "thomason_union_closure",
     "validate_thomason",
 ]
@@ -52,7 +53,9 @@ class TruncationError(Exception):
 class AdmissibleFunction:
     """Threshold function over a finite characteristic scope: values
     maps (layer, p) to the cut height, a non-negative int (not a bool)
-    or INF."""
+    or INF.  Canonical by construction: the primes are stored ascending,
+    each carrying its row, and every row is a tuple, so two spellings
+    of one function are equal and hash alike."""
 
     d: int
     primes: tuple[int, ...]
@@ -61,15 +64,18 @@ class AdmissibleFunction:
     def __post_init__(self):
         if len(set(self.primes)) != len(self.primes):
             raise ValueError(f"repeated prime in {self.primes}")
-        check_window(self.d, self.primes)
+        primes = check_window(self.d, self.primes)
         if len(self.values) != len(self.primes):
             raise ValueError("need one row of values per prime")
-        for row in self.values:
+        rows = dict(zip(self.primes, map(tuple, self.values)))
+        for row in rows.values():
             if len(row) != self.d:
                 raise ValueError("values length must equal d")
             for v in row:
                 if v != INF and (type(v) is not int or v < 0):
                     raise ValueError(f"threshold must be an int >= 0 or INF, got {v!r}")
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "values", tuple(rows[p] for p in primes))
 
     def value(self, k: int, p: int) -> NatInfinity:
         return self.values[self.primes.index(p)][k - 1]
@@ -78,7 +84,7 @@ class AdmissibleFunction:
 def PAdmissibleFunction(d: int, p: int, values) -> AdmissibleFunction:
     """The threshold function of the single characteristic p:
     values[k-1] is the cut height at layer k."""
-    return AdmissibleFunction(d, (p,), (tuple(values),))
+    return AdmissibleFunction(d, (p,), (values,))
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +105,12 @@ def _ceiling(pairs, values) -> NatInfinity:
     of delta_p(k, l) + f(l), and INF when there are none.  This is the
     admissibility inequality f(k) <= delta_p(k, l) + f(l), stated once."""
     return min([delta + values[l - 1] for l, delta in pairs]) if pairs else INF
+
+
+def threshold_values(hmax: int) -> tuple[NatInfinity, ...]:
+    """The value set {0, ..., hmax, inf} of a threshold on the window,
+    ascending; entry v is v for every finite v."""
+    return (*range(hmax + 1), INF)
 
 
 def is_p_admissible(values, p: int, d: int) -> bool:
@@ -199,7 +211,7 @@ def function_from_thomason(Y, trunc: SpectrumTruncation) -> AdmissibleFunction:
 
 
 def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = None) -> int:
-    """Count the threshold vectors over the value set {0, ..., hmax, inf}
+    """Count the threshold vectors over `threshold_values(hmax)`
     satisfying the per-prime inequality, without listing them.
 
     The inequality couples only layers in one residue class mod p-1, so
@@ -230,7 +242,7 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
 
     classes = [range(first, d + 1, p - 1) for first in range(1, min(p - 1, d) + 1)]
     spend(d * (d - 1) // 2 + (hmax + 2) * sum(len(c) * (len(c) + 1) // 2 for c in classes))
-    domain: tuple[NatInfinity, ...] = tuple(range(hmax + 1)) + (INF,)
+    domain = threshold_values(hmax)
     table = _coupling_table(p, d)
     values: list[NatInfinity] = [INF] * d  # the one value each bound reads
     total = 1
@@ -264,7 +276,7 @@ def _rows(d: int, hmax: int, table):
     each admissible prefix of layers 1..d-1 with the values layer d
     admits under it.  The walk keeps one iterator per layer on an
     explicit stack."""
-    domain: tuple[NatInfinity, ...] = tuple(range(hmax + 1)) + (INF,)
+    domain = threshold_values(hmax)
 
     def admitted(prefix):
         # domain[v] == v for finite v, so the values up to a finite
@@ -290,23 +302,18 @@ def _rows(d: int, hmax: int, table):
             prefix.pop()
 
 
-def enumerate_p_admissible(
-    d: int,
-    p: int,
-    hmax: int,
-    with_list: bool = False,
-):
-    """Count and optionally list the threshold vectors over the value set
-    {0, ..., hmax, inf} satisfying the per-prime inequality.
+def enumerate_p_admissible(d: int, p: int, hmax: int):
+    """Count and list the threshold vectors over `threshold_values(hmax)`
+    satisfying the per-prime inequality.
 
     Returns (count, rows): the count comes from count_p_admissible, and
-    rows is None, or with with_list a lazy walk of (prefix, admitted)
-    pairs, each an admissible prefix of layers 1..d-1 with the values
-    layer d admits under it.  Flattened, the rows list the vectors in
-    ascending order (lexicographic, inf last).  Since the inequality
-    always bounds the larger layer, the walk prunes exactly.  A window
-    with more than ENUM_BUDGET candidate vectors is refused before any
-    row.
+    rows is a lazy walk of (prefix, admitted) pairs, each an admissible
+    prefix of layers 1..d-1 with the values layer d admits under it; it
+    costs nothing until it is read.  Flattened, the rows list the
+    vectors in ascending order (lexicographic, inf last).  Since the
+    inequality always bounds the larger layer, the walk prunes exactly.
+    A window with more than ENUM_BUDGET candidate vectors is refused
+    before any row.
     """
     check_window(d, (p,))
     if hmax < 0:
@@ -318,7 +325,7 @@ def enumerate_p_admissible(
     # the DP's work is within a small multiple of the walk's, so the
     # enumeration budget bounds both
     count = count_p_admissible(d, p, hmax, budget=INF)
-    return count, _rows(d, hmax, _coupling_table(p, d)) if with_list else None
+    return count, _rows(d, hmax, _coupling_table(p, d))
 
 
 def thomason_union_closure(seeds, trunc: SpectrumTruncation) -> frozenset:

@@ -220,7 +220,7 @@ def write_ideal_rows(rows, hmax: int, fmt: str) -> None:
         start, sep, end, head, piece, tail = "[", ",", "]\n", "[", '"{}",', '"{}"]'
     else:
         start, sep, end, head, piece, tail = "", "\n", "\n", "f = (", "{}, ", "{})"
-    domain = [*range(hmax + 1), INF]
+    domain = classify.threshold_values(hmax)
     pieces = {v: piece.format(v) for v in domain}
     tails = {v: tail.format(v) for v in domain}
 
@@ -240,7 +240,7 @@ def write_ideal_rows(rows, hmax: int, fmt: str) -> None:
 def cmd_ideals(args) -> int:
     _check_mode_flags(args)
     if args.mode == "list":
-        _, rows = classify.enumerate_p_admissible(args.d, args.p, args.hmax, with_list=True)
+        _, rows = classify.enumerate_p_admissible(args.d, args.p, args.hmax)
         write_ideal_rows(rows, args.hmax, args.format)
         return 0
     count = classify.count_p_admissible(args.d, args.p, args.hmax)

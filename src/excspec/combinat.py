@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
@@ -22,7 +21,6 @@ __all__ = [
     "INF",
     "NatInfinity",
     "BudgetError",
-    "Partition",
     "binomial",
     "stirling2",
     "stirling1",
@@ -282,29 +280,6 @@ def mu_stirling(i: int, j: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A multiset of positive integers, stored as a descending tuple."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(part < 1 for part in self.parts):
-            raise ValueError("partition parts must be positive")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-
 @lru_cache(maxsize=None)
 def digit_sum(k: int, p: int) -> int:
     """Sum of the base-p digits of k.  Cached, since delta_p reads it for
@@ -329,9 +304,10 @@ def ppp_exists(p: int, k: int, l: int) -> bool:
     return k >= l and delta_p(p, k, l) <= 1
 
 
-def ppp_enumerate(p: int, k: int, l: int) -> list[Partition]:
-    """All multisets of l powers of p summing to k, by bounded recursion
-    over descending exponents.  Oracle for :func:`ppp_exists`."""
+def ppp_enumerate(p: int, k: int, l: int) -> list[tuple[int, ...]]:
+    """All multisets of l powers of p summing to k, each as the tuple of
+    its parts in descending order: the recursion over descending
+    exponents builds them that way.  Oracle for :func:`ppp_exists`."""
     if k < 1 or l < 1:
         raise ValueError("ppp_enumerate requires k, l >= 1")
     _require_prime(p)
@@ -344,12 +320,12 @@ def ppp_enumerate(p: int, k: int, l: int) -> list[Partition]:
     while powers[-1] * p <= k:
         powers.append(powers[-1] * p)
 
-    results: list[Partition] = []
+    results: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], remaining: int, slots: int, max_idx: int) -> None:
         if slots == 0:
             if remaining == 0:
-                results.append(Partition(tuple(prefix)))
+                results.append(tuple(prefix))
             return
         for idx in range(max_idx, -1, -1):
             value = powers[idx]

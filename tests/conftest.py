@@ -21,9 +21,9 @@ def invoke_cli(argv: list[str]) -> tuple[int, str, str]:
 
 
 def listed_vectors(d: int, p: int, hmax: int) -> tuple[int, list[tuple]]:
-    """(count, vectors) of enumerate_p_admissible with the list: its lazy
+    """(count, vectors) of enumerate_p_admissible: its lazy
     (prefix, admitted) rows flattened into one ascending list."""
-    count, rows = enumerate_p_admissible(d, p, hmax, with_list=True)
+    count, rows = enumerate_p_admissible(d, p, hmax)
     return count, [prefix + (v,) for prefix, admitted in rows for v in admitted]
 
 

@@ -1,8 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from excspec import poset
+from excspec import balmer, poset
 from excspec.balmer import (
     BalmerPrime,
     b_leq,
@@ -56,6 +57,17 @@ class TestPoints:
             balmer_prime(3, 1, 4, 2)
         with pytest.raises(ValueError):
             balmer_prime(3, 1, 2, 0)
+
+    @pytest.mark.parametrize("height", [2.5, 1.0, True, False, 0, -1, "2"])
+    def test_rejects_a_height_neither_a_positive_int_nor_inf(self, height):
+        with pytest.raises(ValueError, match="height must be an int >= 1 or INF"):
+            balmer_prime(3, 1, 2, height)
+
+    def test_smith_rejects_a_fractional_height(self):
+        with pytest.raises(ValueError, match="got 2.5"):
+            smith_holds(4, 2, 4, 2, 1.5, 0)
+        with pytest.raises(ValueError, match="got 2.5"):
+            smith_points(4, 2, 4, 2, 0, 1.5)
 
     def test_rejects_a_char_neither_zero_nor_prime_at_every_height(self):
         for height in (1, 2, 5, INF):
@@ -302,6 +314,27 @@ class TestBlueshiftNumbers:
                     assert geometric_blueshift(p, k, l) == total
 
 
+EMBEDDING_PRIMES = [(2,), (3,), (5,), (2, 3), (2, 3, 5, 7)]
+
+
+def pairwise_open_embedding(m, d, primes, hmax, inf) -> bool:
+    """Oracle for open_embedding_check, point by point: every degree-m
+    point is a degree-d point, the two orders agree on every pair of
+    them, and their image is the complement of the support of the
+    generators above layer m."""
+    small = balmer.b_truncation(m, primes, hmax, inf)
+    big = balmer.b_truncation(d, primes, hmax, inf)
+    if not all(a in big for a in small.points):
+        return False
+    if any(
+        small.leq(a, b) != big.leq(a, b)
+        for a, b in itertools.product(small.points, repeat=2)
+    ):
+        return False
+    outside = generator_support(big, m + 1) if m < d else frozenset()
+    return set(small.points) == set(big.points) - outside
+
+
 class TestSupportsAndEmbeddings:
     def test_unit_generator_has_full_support(self):
         trunc = b_truncation(3, [2, 3], 3, True)
@@ -333,6 +366,37 @@ class TestSupportsAndEmbeddings:
         assert open_embedding_check(3, 3, [2], 3)
         assert open_embedding_check(1, 3, [2, 3], 3)
         assert open_embedding_check(2, 4, [2, 3], 4)
+
+    @pytest.mark.parametrize("primes", EMBEDDING_PRIMES)
+    def test_prefix_check_matches_the_pairwise_oracle(self, primes):
+        for d, hmax, inf in itertools.product(range(1, 8), (1, 2, 4), (True, False)):
+            for m in range(1, d + 1):
+                window = (m, d, primes, hmax, inf)
+                assert pairwise_open_embedding(*window), window
+                assert open_embedding_check(*window), window
+
+    @pytest.mark.parametrize("damage", ["drop a relation", "misplace a point"])
+    def test_both_reject_a_damaged_big_window(self, monkeypatch, damage):
+        # the degree-3 truncation, damaged where the degree-2 one sits in it
+        build = balmer.b_truncation
+
+        def damaged(d, *args):
+            trunc = build(d, *args)
+            if d < 3:
+                return trunc
+            if damage == "drop a relation":
+                i, j = trunc.relation[0]  # two layer-1 points
+                above = list(trunc.above)
+                above[i] &= ~(1 << j)
+                return dataclasses.replace(trunc, above=tuple(above))
+            extra = BalmerPrime(1, 2, trunc.hmax + 1)  # layer 1, listed last
+            return dataclasses.replace(
+                trunc, points=(*trunc.points, extra), above=(*trunc.above, 0)
+            )
+
+        monkeypatch.setattr(balmer, "b_truncation", damaged)
+        assert not pairwise_open_embedding(2, 3, (2, 3), 2, True)
+        assert not open_embedding_check(2, 3, (2, 3), 2, True)
 
 
 class TestSmith:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from excspec import burnside
 from excspec.burnside import (
+    PRESENT_MAX_D,
     BurnsidePresentation,
     RingElement,
     cokernel_invariants,
@@ -198,36 +199,73 @@ class TestCokernel:
         for a, b in zip(invariants, invariants[1:]):
             assert b % a == 0
 
+    @pytest.mark.parametrize("d", range(1, PRESENT_MAX_D + 1))
+    def test_invariants_are_the_factorials(self, d):
+        assert cokernel_invariants(d) == [math.factorial(i) for i in range(1, d + 1)]
+
+
+def is_invariant_chain(factors) -> bool:
+    """d_1 | d_2 | ... with every factor >= 0 and any zeros last."""
+    nonzero = [x for x in factors if x]
+    return (
+        all(x >= 0 for x in factors)
+        and factors[: len(nonzero)] == nonzero
+        and all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    )
+
+
+def sympy_factors(rows) -> list[int]:
+    """sympy's Smith diagonal, made non-negative and padded with zeros
+    to the size of the matrix."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    n = len(rows)
+    theirs = sympy_snf(Matrix(rows))
+    diag = [abs(int(theirs[i, i])) for i in range(min(theirs.shape))]
+    return diag + [0] * (n - len(diag))
+
 
 class TestSmithNormalForm:
     def test_against_sympy_on_ghost_matrices(self):
-        from sympy import Matrix
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-        for d in range(1, 7):
+        for d in range(1, PRESENT_MAX_D + 1):
             mine = smith_normal_form(present(d).M)
-            theirs = sympy_snf(Matrix(present(d).M))
-            diag = [abs(theirs[i, i]) for i in range(d)]
-            assert mine == diag
+            assert mine == sympy_factors(present(d).M), d
+            assert is_invariant_chain(mine)
 
     @given(
-        st.lists(
-            st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),
-            min_size=3,
-            max_size=3,
+        st.integers(min_value=2, max_value=4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
         )
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_against_sympy_on_random_matrices(self, rows):
-        from sympy import Matrix
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
         mine = smith_normal_form(rows)
-        theirs = sympy_snf(Matrix(rows))
-        diag = sorted(abs(theirs[i, i]) for i in range(min(theirs.shape)))
-        # sympy drops trailing zero rows for singular input; compare the
-        # nonzero invariant factors and count zeros separately
-        assert sorted(x for x in mine if x) == [x for x in diag if x]
+        assert is_invariant_chain(mine), mine
+        assert mine == sympy_factors(rows)
+
+    @pytest.mark.parametrize(
+        "rows, factors",
+        [
+            ([[2, 0], [0, 3]], [1, 6]),
+            ([[0, 4], [6, 0]], [2, 12]),
+            ([[0, 0], [0, 5]], [5, 0]),
+            ([[2, 4], [4, 8]], [2, 0]),
+            ([[-3]], [3]),
+            ([], []),
+        ],
+    )
+    def test_pinned_cases(self, rows, factors):
+        assert smith_normal_form(rows) == factors
+
+    def test_leaves_its_input_alone(self):
+        rows = [[0, 4], [6, 0]]
+        smith_normal_form(rows)
+        assert rows == [[0, 4], [6, 0]]
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from excspec.classify import (
     is_p_admissible,
     thomason_from_function,
     thomason_union_closure,
+    threshold_values,
     validate_thomason,
 )
 from excspec.combinat import INF, BudgetError, delta_p_brute
@@ -159,9 +160,26 @@ class TestAdmissible:
         with pytest.raises(ValueError):
             AdmissibleFunction(d, primes, values)
 
-    def test_keeps_the_prime_order_given(self):
+    def test_lookup_by_prime_survives_the_sorting(self):
         f = AdmissibleFunction(2, (3, 2), ((1, 1), (2, 2)))
         assert f.value(1, 3) == 1 and f.value(1, 2) == 2
+        assert f.primes == (2, 3) and f.values == ((2, 2), (1, 1))
+
+    def test_spellings_in_any_prime_order_are_one_function(self):
+        f = AdmissibleFunction(2, (3, 2), ((1, 1), (1, 2)))
+        g = AdmissibleFunction(2, (2, 3), ((1, 2), (1, 1)))
+        assert f == g and hash(f) == hash(g)
+
+    def test_list_rows_are_stored_as_tuples(self):
+        f = AdmissibleFunction(2, [3, 2], [[1, 1], [1, 2]])
+        assert f.primes == (2, 3) and f.values == ((1, 2), (1, 1))
+        assert hash(f) == hash(AdmissibleFunction(2, (2, 3), ((1, 2), (1, 1))))
+        assert PAdmissibleFunction(2, 2, [1, 2]).values == ((1, 2),)
+
+    def test_round_trip_returns_the_function_given_in_any_prime_order(self):
+        trunc = b_truncation(2, [2, 3], 3)
+        f = AdmissibleFunction(2, (3, 2), ((1, 1), (1, 2)))
+        assert function_from_thomason(thomason_from_function(f, trunc), trunc) == f
 
 
 class TestThomasonFromFunction:
@@ -349,18 +367,22 @@ class TestEnumeration:
         count, listed = listed_vectors(*window)
         digest = hashlib.sha256(repr(listed).encode()).hexdigest()[:16]
         assert (count, digest) == PINNED_ENUMERATIONS[window]
-        assert enumerate_p_admissible(*window) == (count, None)
+        assert enumerate_p_admissible(*window)[0] == count
         assert count_p_admissible(*window) == count
 
     def test_refusal_comes_before_any_row(self):
         # the checks are eager, so the CLI exits 2 before writing a byte
         with pytest.raises(BudgetError):
-            enumerate_p_admissible(12, 2, 8, with_list=True)
+            enumerate_p_admissible(12, 2, 8)
         with pytest.raises(ValueError):
-            enumerate_p_admissible(3, 2, -1, with_list=True)
+            enumerate_p_admissible(3, 2, -1)
+
+    def test_threshold_values(self):
+        assert threshold_values(0) == (0, INF)
+        assert threshold_values(3) == (0, 1, 2, 3, INF)
 
     def test_rows_are_a_lazy_walk(self):
-        _, rows = enumerate_p_admissible(8, 3, 4, with_list=True)
+        _, rows = enumerate_p_admissible(8, 3, 4)
         assert iter(rows) is rows
         assert next(rows) == ((0,) * 7, (0, 1))
 
@@ -383,7 +405,7 @@ class TestCount:
     def test_equals_the_rows_walked(self, p):
         for d, q, hmax in COUNT_WINDOWS:
             if q == p:
-                _, rows = enumerate_p_admissible(d, p, hmax, with_list=True)
+                _, rows = enumerate_p_admissible(d, p, hmax)
                 walked = sum(len(admitted) for _, admitted in rows)
                 assert count_p_admissible(d, p, hmax) == walked, (d, p, hmax)
 

@@ -15,7 +15,6 @@ from excspec.combinat import (
     MU_INCL_EXCL_CELL_BUDGET,
     MU_STIRLING_K_BUDGET,
     BudgetError,
-    Partition,
     binomial,
     check_window,
     delta_p,
@@ -194,16 +193,6 @@ class TestMu:
 
 
 class TestPartitions:
-    def test_partition_normalizes(self):
-        part = Partition((1, 4, 2))
-        assert part.parts == (4, 2, 1)
-        assert part.total == 7
-        assert part.length == 3
-
-    def test_partition_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Partition((3, 0))
-
     def test_digit_sum(self):
         assert digit_sum(4, 2) == 1
         assert digit_sum(3, 2) == 2
@@ -214,9 +203,10 @@ class TestPartitions:
             digit_sum(10, 4)
 
     def test_enumerate_examples(self):
-        assert ppp_enumerate(2, 4, 2) == [Partition((2, 2))]
-        assert ppp_enumerate(2, 4, 3) == [Partition((2, 1, 1))]
+        assert ppp_enumerate(2, 4, 2) == [(2, 2)]
+        assert ppp_enumerate(2, 4, 3) == [(2, 1, 1)]
         assert ppp_enumerate(2, 5, 1) == []
+        assert ppp_enumerate(3, 7, 3) == [(3, 3, 1)]
 
     def test_exists_examples(self):
         assert ppp_exists(2, 4, 2)
@@ -230,10 +220,14 @@ class TestPartitions:
                     assert ppp_exists(p, k, l) == bool(ppp_enumerate(p, k, l))
 
     def test_enumerated_partitions_are_p_powers(self):
-        for part in ppp_enumerate(3, 13, 5):
-            assert part.total == 13
-            assert part.length == 5
-            for x in part.parts:
+        parts = ppp_enumerate(3, 13, 5)
+        assert parts and len(set(parts)) == len(parts)
+        for part in parts:
+            assert sum(part) == 13
+            assert len(part) == 5
+            assert list(part) == sorted(part, reverse=True)
+            for x in part:
+                assert x >= 1
                 while x % 3 == 0:
                     x //= 3
                 assert x == 1

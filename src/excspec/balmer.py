@@ -15,16 +15,18 @@ bookkeeping must treat specially) together with the containment order,
 stored as each point's up-set bitset.  The points of one layer and one
 prime form a column, a chain in height (k,p,INF) <= ... <= (k,p,2) <=
 (k,0,1).  A point of column (k, p) lies only under points of the
-columns (l, p) with l <= k and delta_p(k, l) finite, and its up-set
-meets each such column in a top segment, so the builder finds each
-segment by bisection with `b_leq` instead of sweeping every pair.
+columns (l, p) with l in `layer_class(p, k)`, and its up-set meets
+each such column in a top segment, so the builder finds each segment
+by bisection with `b_leq` instead of sweeping every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import INF, NatInfinity, check_window, delta_p, is_prime
+from .combinat import (
+    INF, NatInfinity, check_height, check_window, delta_p, is_prime, layer_class
+)
 from .poset import Poset, check_point_budget
 from .zariski import ZariskiPrime
 
@@ -64,8 +66,7 @@ def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPr
     >= 1 (not a bool) or INF."""
     if not 1 <= layer <= d:
         raise ValueError(f"layer {layer} out of range 1..{d}")
-    if height != INF and (type(height) is not int or height < 1):
-        raise ValueError(f"height must be an int >= 1 or INF, got {height!r}")
+    check_height("height", height, 1, infinite=True)
     if not (is_prime(char) or char == 0 and height == 1):
         raise ValueError(f"char must be prime, or 0 at height 1, got {char}")
     return BalmerPrime(layer, char, height)
@@ -115,13 +116,12 @@ def b_truncation(
     Points come layer by layer: the rational point (k, 0, 1), then for
     each prime p its column (k, p, 2..hmax), with (k, p, INF) last when
     flagged.  A rational point lies under no other point.  For a point a
-    of column (k, p) and each layer l <= k with delta_p(k, l) finite, one
+    of column (k, p) and each layer l of `layer_class(p, k)`, one
     `b_leq` call decides (l, 0, 1) and, when a lies under it, bisection
     with `b_leq` finds the top segment of column (l, p) above a; by
     `b_leq`'s definition no other point lies above a.  The point count
     is checked against the budget before any point is made."""
-    if hmax < 1:
-        raise ValueError("hmax must be >= 1")
+    check_height("hmax", hmax, 1)
     prime_tuple = check_window(d, primes)
     tail = (INF,) if include_infinity else ()
     depth = hmax - 1 + len(tail)  # points per column
@@ -136,7 +136,7 @@ def b_truncation(
             points.extend(BalmerPrime(k, p, h) for h in heights)
     above = [0] * len(points)
     for (k, p), (_, start) in columns.items():
-        reachable = [columns[l, p] for l in range(k, 0, -1) if delta_p(p, k, l) != INF]
+        reachable = [columns[l, p] for l in layer_class(p, k)]
         for i in range(start, start + depth):
             a, up = points[i], 0
             for rational, top in reachable:
@@ -175,8 +175,7 @@ def tate_blueshift(p: int, k: int, l: int, h: int) -> NatInfinity:
     collapse (value h) otherwise."""
     if k < l or l < 1:
         raise ValueError("tate_blueshift requires k >= l >= 1")
-    if h == INF or h < 1:
-        raise ValueError("tate_blueshift requires finite h >= 1")
+    check_height("h", h, 1)
     return 1 if delta_p(p, k, l) == 1 else h
 
 
@@ -233,8 +232,11 @@ def smith_points(
 ) -> tuple[BalmerPrime, BalmerPrime]:
     """The validated points (k, p, n+1) and (l, p, h+1) of the
     conditional-vanishing comparison between the layer-k derivative at
-    height n and the layer-l derivative at height h."""
+    height n and the layer-l derivative at height h; n and h are each
+    an int >= 0 or INF."""
     check_window(d, (p,))
+    check_height("height", n, 0, infinite=True)
+    check_height("height", h, 0, infinite=True)
     return balmer_prime(d, k, p, n + 1), balmer_prime(d, l, p, h + 1)
 
 

@@ -98,9 +98,6 @@ class BurnsidePresentation:
 
     # -- elements ----------------------------------------------------------
 
-    def zero(self) -> RingElement:
-        return RingElement((0,) * self.d)
-
     def basis(self, i: int) -> RingElement:
         if not 1 <= i <= self.d:
             raise ValueError(f"basis index {i} out of range 1..{self.d}")

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .balmer import BalmerPrime, SpectrumTruncation
-from .combinat import INF, BudgetError, NatInfinity, check_window, delta_p
+from .combinat import (
+    INF, BudgetError, NatInfinity, check_height, check_window, delta_p, layer_class
+)
 
 __all__ = [
     "PAdmissibleFunction",
@@ -72,8 +74,7 @@ class AdmissibleFunction:
             if len(row) != self.d:
                 raise ValueError("values length must equal d")
             for v in row:
-                if v != INF and (type(v) is not int or v < 0):
-                    raise ValueError(f"threshold must be an int >= 0 or INF, got {v!r}")
+                check_height("threshold", v, 0, infinite=True)
         object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "values", tuple(rows[p] for p in primes))
 
@@ -89,21 +90,21 @@ def PAdmissibleFunction(d: int, p: int, values) -> AdmissibleFunction:
 
 @lru_cache(maxsize=None)
 def _coupling_table(p: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Entry k-1 lists the pairs (l, delta_p(k, l)) with l < k and delta
-    finite: the earlier layers whose thresholds bound layer k's."""
+    """Entry k-1 lists the pairs (l, delta_p(k, l)) for the layers l < k
+    of `layer_class(p, k)`: the earlier layers whose thresholds bound
+    layer k's."""
     check_window(d, (p,))
-    table = []
-    for k in range(1, d + 1):
-        deltas = ((l, delta_p(p, k, l)) for l in range(1, k))
-        table.append(tuple((l, delta) for l, delta in deltas if delta != INF))
-    return tuple(table)
+    return tuple(
+        tuple((l, delta_p(p, k, l)) for l in layer_class(p, k)[:-1])
+        for k in range(1, d + 1)
+    )
 
 
 def _ceiling(pairs, values) -> NatInfinity:
     """The largest threshold a layer admits, given the values of the
     earlier layers its coupling-table entry `pairs` names: the minimum
-    of delta_p(k, l) + f(l), and INF when there are none.  This is the
-    admissibility inequality f(k) <= delta_p(k, l) + f(l), stated once."""
+    of delta_p(k, l) + f(l), INF if there are none.  The admissibility
+    inequality, stated once; the count DP applies its one-pair case."""
     return min([delta + values[l - 1] for l, delta in pairs]) if pairs else INF
 
 
@@ -215,22 +216,20 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
     satisfying the per-prime inequality, without listing them.
 
     The inequality couples only layers in one residue class mod p-1, so
-    the count is a product over the classes.  Within a class a forward DP
-    takes the layers in order.  Its state is the tuple of pending
-    ceilings of the class's later layers, each capped at hmax (a finite
-    ceiling above hmax admits the same values) or INF, and it maps to
-    the number of prefixes that reach it.
+    the count is a product over the classes, the `layer_class` of each
+    of the last p-1 layers.  A forward DP takes each class's layers in
+    order.  Its state, the tuple of pending ceilings of the later layers
+    capped at hmax (a finite ceiling above hmax admits the same values)
+    or INF, maps to the number of prefixes that reach it.
 
     The budget, DP_BUDGET unless given, bounds the entries the DP
-    computes: the coupling table's d(d-1)/2; for each value of each
-    layer, a tuple of bounds on the later layers of its class, charged
-    its length plus one; and for each state, its length times the values
-    its first layer admits.  The first two are known in advance and
-    refused before any work.
+    computes: for each value of each layer, a tuple of bounds on the
+    later layers of its class, charged its length plus one; and for each
+    state, its length times the values its first layer admits.  The
+    first is known in advance and refused before any work.
     """
     check_window(d, (p,))
-    if hmax < 0:
-        raise ValueError("need hmax >= 0")
+    check_height("hmax", hmax, 0)
     limit = DP_BUDGET if budget is None else budget
     work = 0
 
@@ -240,24 +239,20 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
         if work > limit:
             raise BudgetError(f"DP budget exceeded: more than {limit} entries")
 
-    classes = [range(first, d + 1, p - 1) for first in range(1, min(p - 1, d) + 1)]
-    spend(d * (d - 1) // 2 + (hmax + 2) * sum(len(c) * (len(c) + 1) // 2 for c in classes))
+    classes = [layer_class(p, k) for k in range(max(1, d - p + 2), d + 1)]
+    spend((hmax + 2) * sum(len(c) * (len(c) + 1) // 2 for c in classes))
     domain = threshold_values(hmax)
-    table = _coupling_table(p, d)
-    values: list[NatInfinity] = [INF] * d  # the one value each bound reads
     total = 1
     for layers in classes:
-        deltas = [dict(table[m - 1]) for m in layers]
         frontier = {(INF,) * len(layers): 1}
         for i, k in enumerate(layers):
-            # bounds[v]: the capped ceilings that f(k) = v puts on the
-            # class's later layers; a state takes their pointwise minimum
-            later = [((k, row[k]),) if k in row else () for row in deltas[i + 1 :]]
-            bounds = []
-            for v in domain:
-                values[k - 1] = v
-                ceilings = (_ceiling(pairs, values) for pairs in later)
-                bounds.append(tuple(c if c == INF else min(c, hmax) for c in ceilings))
+            # bounds[v]: the capped ceilings delta_p(m, k) + v on the class's
+            # later layers m; a state takes their pointwise minimum
+            deltas = [delta_p(p, m, k) for m in layers[i + 1 :]]
+            bounds = [
+                tuple(INF if v == INF else min(v + delta, hmax) for delta in deltas)
+                for v in domain
+            ]
             step: dict[tuple[NatInfinity, ...], int] = {}
             for pending, ways in frontier.items():
                 ceiling, rest = pending[0], pending[1:]
@@ -316,8 +311,7 @@ def enumerate_p_admissible(d: int, p: int, hmax: int):
     before any row.
     """
     check_window(d, (p,))
-    if hmax < 0:
-        raise ValueError("need hmax >= 0")
+    check_height("hmax", hmax, 0)
     if (hmax + 2) ** d > ENUM_BUDGET:
         raise BudgetError(
             f"enumeration budget exceeded: ({hmax + 2})**{d} > {ENUM_BUDGET}"

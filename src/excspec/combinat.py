@@ -32,10 +32,12 @@ __all__ = [
     "ppp_exists",
     "ppp_enumerate",
     "delta_p",
+    "layer_class",
     "delta_p_brute",
     "shortest_ppp_chain",
     "is_prime",
     "check_window",
+    "check_height",
 ]
 
 MU_BRUTE_CELL_BUDGET = 20  # count every good subset only up to here
@@ -110,6 +112,17 @@ def check_window(d: int, primes: Iterable[int]) -> tuple[int, ...]:
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
     return prime_tuple
+
+
+def check_height(name: str, value, floor: int, infinite: bool = False) -> None:
+    """The one rule for a height-like argument: an int that is not a
+    bool and is at least floor, or INF where the height may be
+    infinite.  Raises ValueError naming the value given."""
+    if infinite and value == INF:
+        return
+    if type(value) is not int or value < floor:
+        also = " or INF" if infinite else ""
+        raise ValueError(f"{name} must be an int >= {floor}{also}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +375,12 @@ def delta_p(p: int, k: int, l: int) -> NatInfinity:
     if (k - l) % (p - 1) != 0:
         return INF
     return 1 if l >= digit_sum(k, p) else 2
+
+
+def layer_class(p: int, k: int) -> range:
+    """The layers l <= k with p-1 | k-l, that is with delta_p(k, l)
+    finite, ascending: the one walk of the layer congruence."""
+    return range((k - 1) % (p - 1) + 1, k + 1, p - 1)
 
 
 def delta_p_brute(p: int, k: int, l: int) -> NatInfinity:

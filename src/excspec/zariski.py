@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsidePresentation, RingElement
-from .combinat import check_window, is_prime
+from .combinat import check_window, is_prime, layer_class
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -43,11 +43,9 @@ class ZariskiPrime:
 
 
 def canonical_layer(layer: int, char: int) -> int:
-    """Minimal layer in the gluing class {j >= 1 : char-1 | j - layer};
+    """Minimal layer in the gluing class, the first of `layer_class`;
     the layer itself when char < 2, where nothing glues."""
-    if char < 2:
-        return layer
-    return (layer - 1) % (char - 1) + 1
+    return layer if char < 2 else layer_class(char, layer)[0]
 
 
 def zariski_prime(d: int, layer: int, char: int) -> ZariskiPrime:

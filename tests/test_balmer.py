@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 
 import pytest
 
@@ -64,9 +65,10 @@ class TestPoints:
             balmer_prime(3, 1, 2, height)
 
     def test_smith_rejects_a_fractional_height(self):
-        with pytest.raises(ValueError, match="got 2.5"):
+        # the message names the height given, not the point's height
+        with pytest.raises(ValueError, match="got 1.5"):
             smith_holds(4, 2, 4, 2, 1.5, 0)
-        with pytest.raises(ValueError, match="got 2.5"):
+        with pytest.raises(ValueError, match="got 1.5"):
             smith_points(4, 2, 4, 2, 0, 1.5)
 
     def test_rejects_a_char_neither_zero_nor_prime_at_every_height(self):
@@ -174,6 +176,22 @@ class TestTruncation:
             monkeypatch.setattr(poset, "POINT_BUDGET", n_points - 1)
             with pytest.raises(BudgetError):
                 b_truncation(d, primes, hmax, inf)
+
+    def test_reads_delta_only_through_b_leq(self, monkeypatch):
+        # the reachable columns come from layer_class, so a window whose
+        # columns are empty makes no delta_p call at all
+        callers = []
+        delta_p = balmer.delta_p
+
+        def traced(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return delta_p(*args)
+
+        monkeypatch.setattr(balmer, "delta_p", traced)
+        b_truncation(200, [2], 1, include_infinity=False)
+        assert callers == []
+        b_truncation(14, (2, 3, 5, 7, 11, 13), 10)
+        assert callers and set(callers) == {"b_leq"}
 
     def test_rank_one_is_a_chain(self):
         trunc = b_truncation(1, [2], 3, True)

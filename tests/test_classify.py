@@ -24,7 +24,7 @@ from excspec.classify import (
     threshold_values,
     validate_thomason,
 )
-from excspec.combinat import INF, BudgetError, delta_p_brute
+from excspec.combinat import INF, BudgetError, delta_p, delta_p_brute
 
 
 def p_function(d, p, values):
@@ -107,6 +107,17 @@ class TestPAdmissible:
             PAdmissibleFunction(2, 2, (bad, 0))
         with pytest.raises(ValueError, match="threshold"):
             AdmissibleFunction(2, (2, 3), ((0, 0), (1, bad)))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_coupling_table_is_the_all_layer_filter(self, p):
+        # the table as it was built before the class walk: every earlier
+        # layer, kept when its distance is finite
+        for d in range(1, 41):
+            oracle = tuple(
+                tuple((l, delta_p(p, k, l)) for l in range(1, k) if delta_p(p, k, l) != INF)
+                for k in range(1, d + 1)
+            )
+            assert classify._coupling_table(p, d) == oracle
 
     @pytest.mark.parametrize("d, p, hmax", [(2, 2, 2), (3, 2, 1), (3, 3, 2)] + BRUTE_WINDOWS)
     def test_matches_brute_filter(self, d, p, hmax):
@@ -415,6 +426,7 @@ class TestCount:
             (12, 5, 3, 10_185_728),  # past the enumeration budget
             (8, 3, 6, 487_746),  # what enumeration gives on a 10**8 budget
             (40, 2, 10, 33_362_446_957_506_628_914),  # DP only
+            (1415, 1409, 0, 2**1401 * 3**7),  # refused while a pair table was charged
         ],
     )
     def test_pinned_counts(self, d, p, hmax, count):
@@ -423,6 +435,21 @@ class TestCount:
     def test_one_layer_per_class_is_unconstrained(self):
         # p - 1 >= d: no two layers share a class mod p-1
         assert count_p_admissible(4, 7, 3) == 5**4
+        assert count_p_admissible(1400, 1409, 0) == 2**1400
+
+    @pytest.mark.parametrize("d, p, hmax", [(10, 2, 3), (12, 5, 3), (1400, 1409, 0)])
+    def test_reads_delta_once_per_class_pair(self, monkeypatch, d, p, hmax):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return delta_p(*args)
+
+        monkeypatch.setattr(classify, "delta_p", counted)
+        pairs = sum((m - k) % (p - 1) == 0 for m in range(1, d + 1) for k in range(1, m))
+        count_p_admissible(d, p, hmax)
+        assert calls == pairs
 
     @pytest.mark.parametrize("d, p, hmax", [(0, 2, 1), (3, 4, 1), (3, 2, -1)])
     def test_rejects_bad_window(self, d, p, hmax):
@@ -430,13 +457,13 @@ class TestCount:
             count_p_admissible(d, p, hmax)
 
     def test_budget(self, monkeypatch):
-        # the table and the bounds are charged before any work
+        # the bounds are charged before any work
         with pytest.raises(BudgetError):
             count_p_admissible(10**5, 2, 1)
         monkeypatch.setattr(classify, "DP_BUDGET", 1000)
         assert count_p_admissible(5, 2, 3) == 448
         with pytest.raises(BudgetError):
-            count_p_admissible(10, 2, 3)  # 1329 entries
+            count_p_admissible(10, 2, 3)  # 1284 entries
 
 
 def visible(values, p, hmax):

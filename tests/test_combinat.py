@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -6,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excspec.balmer import geometric_blueshift, smith_holds, tate_blueshift
-from excspec.classify import is_p_admissible
+from excspec.balmer import (
+    b_truncation,
+    geometric_blueshift,
+    smith_holds,
+    smith_points,
+    tate_blueshift,
+)
+from excspec.classify import count_p_admissible, enumerate_p_admissible, is_p_admissible
 from excspec.combinat import (
     INF,
     MR_EXACT_BELOW,
@@ -20,6 +27,7 @@ from excspec.combinat import (
     delta_p,
     delta_p_brute,
     digit_sum,
+    layer_class,
     _mu_brute_table,
     is_prime,
     mu_brute,
@@ -304,6 +312,51 @@ class TestDelta:
                         for a, b in zip(chain, chain[1:]):
                             assert ppp_exists(p, a, b)
 
+    def test_layer_class_is_the_finite_distances(self):
+        for p in PRIMES:
+            for k in range(1, 61):
+                finite = [l for l in range(1, k + 1) if delta_p(p, k, l) != INF]
+                assert list(layer_class(p, k)) == finite, (p, k)
+
+    def test_no_layer_congruence_outside_combinat(self):
+        """Only combinat states p-1 | k-l (delta_p tests it, layer_class
+        walks it), so no other module takes a remainder or a range step
+        by p - 1 or char - 1.  Docstrings are string constants, which the
+        syntax tree does not search."""
+
+        def modulus(node):  # p - 1 or char - 1, or its negation
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+                node = node.operand
+            return (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Name)
+                and node.left.id in ("p", "char")
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 1
+            )
+
+        def congruence(node):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                return modulus(node.right)
+            return (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "range"
+                and len(node.args) == 3
+                and modulus(node.args[2])
+            )
+
+        root = Path(__file__).resolve().parents[1]
+        offenders = [
+            f"{path.relative_to(root)}:{node.lineno}"
+            for path in sorted((root / "src").rglob("*.py"))
+            if path.name != "combinat.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if congruence(node)
+        ]
+        assert offenders == []
+
 
 class TestConcurrentCaches:
     def test_memoized_counts_safe_under_parallel_reads(self):
@@ -419,6 +472,31 @@ class TestIsPrime:
         for n in (MR_EXACT_BELOW, 2**89 - 1):
             with pytest.raises(BudgetError, match="exact only below"):
                 is_prime(n)
+
+
+# One height rule at every entry point: an int that is not a bool, at
+# least the floor, or INF where the height may be infinite; the message
+# names the value given.
+BAD_HEIGHTS = {
+    "smith_points_bool_n": (lambda: smith_points(4, 2, 4, 2, True, 0), "got True"),
+    "smith_holds_bool_h": (lambda: smith_holds(4, 2, 4, 2, 2, False), "got False"),
+    "smith_points_fractional_n": (lambda: smith_points(4, 2, 4, 2, 2.5, 0), "got 2.5"),
+    "smith_points_negative_n": (lambda: smith_points(4, 2, 4, 2, -1, 0), "got -1"),
+    "tate_blueshift_bool_h": (lambda: tate_blueshift(2, 3, 1, True), "got True"),
+    "b_truncation_bool_hmax": (lambda: b_truncation(3, [2], True), "got True"),
+    "b_truncation_fractional_hmax": (lambda: b_truncation(3, [2], 2.5), "got 2.5"),
+    "count_p_admissible_bool_hmax": (lambda: count_p_admissible(3, 2, True), "got True"),
+    "enumerate_p_admissible_bool_hmax": (
+        lambda: enumerate_p_admissible(3, 2, True), "got True"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_HEIGHTS)
+def test_one_height_rule_at_every_entry_point(name):
+    call, given = BAD_HEIGHTS[name]
+    with pytest.raises(ValueError, match=re.escape(given)):
+        call()
 
 
 NOT_PRIMES = (-1, 0, 1, 4)

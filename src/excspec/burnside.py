@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
+from operator import mul
 
 from .combinat import BudgetError, mu_incl_excl, surjections
 
@@ -32,7 +33,7 @@ __all__ = [
 
 PRESENT_MAX_D = 16
 ASSOCIATIVITY_MAX_D = 6  # the triple sweep makes d**3 products of products
-GHOST_TRIALS_BUDGET = 10_000  # about 0.5 ms a trial at d = 16
+GHOST_TRIALS_BUDGET = 10_000  # about 0.25 ms a trial at d = 16
 
 
 @dataclass(frozen=True)
@@ -77,24 +78,23 @@ class BurnsidePresentation:
     every d that `present` accepts."""
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if d > PRESENT_MAX_D:
-            raise BudgetError(f"presentation budget exceeded: d = {d} > {PRESENT_MAX_D}")
+        self.M: list[list[int]] = [list(row) for row in _ghost_matrix(d)]
         self.d = d
-        # mu[(i, j, l)] for 1 <= i, j, l <= d, nonzero entries only
+        # mu[(i, j, l)] for 1 <= i, j, l <= d, nonzero entries only; mu is
+        # symmetric in i and j, so each unordered pair is computed once.
+        # _products[i-1][j-1]: the nonzero terms (l-1, mu) of x_i x_j, one
+        # tuple shared by both orders of the pair
         self.mu: dict[tuple[int, int, int], int] = {}
+        self._products: list[list[tuple]] = [[()] * d for _ in range(d)]
         for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                for l in range(max(i, j), min(d, i * j) + 1):
+            for j in range(i, d + 1):
+                terms = []
+                for l in range(j, min(d, i * j) + 1):
                     value = mu_incl_excl(i, j, l)
                     if value:
-                        self.mu[(i, j, l)] = value
-        # ghost matrix M[i][j] = surjections(i+1, j+1), 0-indexed storage
-        self.M: list[list[int]] = [
-            [surjections(i, j) if j <= i else 0 for j in range(1, d + 1)]
-            for i in range(1, d + 1)
-        ]
+                        self.mu[(i, j, l)] = self.mu[(j, i, l)] = value
+                        terms.append((l - 1, value))
+                self._products[i - 1][j - 1] = self._products[j - 1][i - 1] = tuple(terms)
 
     # -- elements ----------------------------------------------------------
 
@@ -121,18 +121,13 @@ class BurnsidePresentation:
         if a.dim != self.d or b.dim != self.d:
             raise ValueError("dimension mismatch with presentation")
         out = [0] * self.d
-        for i in range(1, self.d + 1):
-            ai = a.coeffs[i - 1]
-            if not ai:
-                continue
-            for j in range(1, self.d + 1):
-                bj = b.coeffs[j - 1]
-                if not bj:
-                    continue
-                for l in range(max(i, j), min(self.d, i * j) + 1):
-                    c = self.mu.get((i, j, l))
-                    if c:
-                        out[l - 1] += ai * bj * c
+        for ai, row in zip(a.coeffs, self._products):
+            if ai:
+                for bj, terms in zip(b.coeffs, row):
+                    if bj:
+                        c = ai * bj
+                        for l, value in terms:
+                            out[l] += c * value
         return RingElement(tuple(out))
 
     def ghost(self, a: RingElement) -> tuple[int, ...]:
@@ -140,24 +135,33 @@ class BurnsidePresentation:
         component i is sum_j surjections(i, j) * a_j."""
         if a.dim != self.d:
             raise ValueError("dimension mismatch with presentation")
-        return tuple(
-            sum(self.M[i][j] * a.coeffs[j] for j in range(self.d))
-            for i in range(self.d)
-        )
+        return tuple(sum(map(mul, row, a.coeffs)) for row in self.M)
 
     def table_lines(self) -> list[str]:
         """Human-readable multiplication table, one basis product per line."""
         lines = []
         for i in range(1, self.d + 1):
             for j in range(i, self.d + 1):
-                terms = [
-                    f"{self.mu[(i, j, l)]} x{l}"
-                    for l in range(1, self.d + 1)
-                    if (i, j, l) in self.mu
-                ]
+                terms = [f"{value} x{l + 1}" for l, value in self._products[i - 1][j - 1]]
                 rhs = " + ".join(terms) if terms else "0"
                 lines.append(f"x{i}*x{j} = {rhs}")
         return lines
+
+
+@lru_cache(maxsize=None)
+def _ghost_matrix(d: int) -> tuple[tuple[int, ...], ...]:
+    """The ghost matrix of rank d, M[i][j] = surjections(i+1, j+1) in
+    0-indexed storage.  The cokernel reads nothing else, so it is built
+    apart from the structure constants; the rank check is here, for the
+    presentation and the cokernel alike."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if d > PRESENT_MAX_D:
+        raise BudgetError(f"presentation budget exceeded: d = {d} > {PRESENT_MAX_D}")
+    return tuple(
+        tuple(surjections(i, j) if j <= i else 0 for j in range(1, d + 1))
+        for i in range(1, d + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +190,7 @@ def ghost_is_hom_check(d: int, trials: int = 50, seed: int = 0) -> bool:
         for _ in range(trials)
     )
     return all(
-        pres.ghost(pres.multiply(a, b))
-        == tuple(x * y for x, y in zip(pres.ghost(a), pres.ghost(b)))
+        pres.ghost(pres.multiply(a, b)) == tuple(map(mul, pres.ghost(a), pres.ghost(b)))
         for a, b in chain(product(basis, repeat=2), randoms)
     )
 
@@ -244,7 +247,7 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
     So each pivot ends dividing its whole block, and the chain holds by
     construction.
     """
-    a = [row[:] for row in matrix]
+    a = [list(row) for row in matrix]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("smith_normal_form expects a square matrix")
@@ -280,8 +283,7 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
 def cokernel_invariants(d: int) -> list[int]:
     """Invariant factors of the ghost matrix: the cokernel of the ghost
     map as a finite abelian group."""
-    pres = present(d)
-    return smith_normal_form(pres.M)
+    return smith_normal_form(_ghost_matrix(d))
 
 
 def factorial_product_group_matches(invariants: list[int], d: int) -> bool:

@@ -44,6 +44,7 @@ __all__ = [
 
 ENUM_BUDGET = 10**7
 DP_BUDGET = 10**6
+COUPLING_CACHE_SIZE = 8  # (p, d) coupling tables kept; one holds up to d(d-1)/2 pairs
 
 
 class TruncationError(Exception):
@@ -88,7 +89,7 @@ def PAdmissibleFunction(d: int, p: int, values) -> AdmissibleFunction:
     return AdmissibleFunction(d, (p,), (values,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COUPLING_CACHE_SIZE)
 def _coupling_table(p: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Entry k-1 lists the pairs (l, delta_p(k, l)) for the layers l < k
     of `layer_class(p, k)`: the earlier layers whose thresholds bound
@@ -269,32 +270,48 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
 def _rows(d: int, hmax: int, table):
     """The admissible vectors in ascending order, as (prefix, admitted):
     each admissible prefix of layers 1..d-1 with the values layer d
-    admits under it.  The walk keeps one iterator per layer on an
-    explicit stack."""
+    admits under it.
+
+    As the count DP does, the walk carries the pending ceilings of the
+    later layers down to each node, each capped at hmax and held as the
+    number of domain values it admits, so that a node's admitted values
+    are one slice of the domain.  It recurses over the stems, the
+    prefixes of layers 1..d-2, and a stem's rows differ only in layer
+    d-1."""
     domain = threshold_values(hmax)
-
-    def admitted(prefix):
-        # domain[v] == v for finite v, so the values up to a finite
-        # ceiling are the first min(ceiling, hmax) + 1 of the domain
-        ceiling = _ceiling(table[len(prefix)], prefix)
-        return domain if ceiling == INF else domain[: min(ceiling, hmax) + 1]
-
     if d == 1:
         yield (), domain
         return
-    prefix: list[NatInfinity] = [INF]  # the last slot is the layer being chosen
-    stack = [iter(domain)]
-    while stack:
-        for v in stack[-1]:
-            prefix[-1] = v
-            if len(prefix) < d - 1:
-                stack.append(iter(admitted(prefix)))
-                prefix.append(INF)
-                break
-            yield tuple(prefix), admitted(prefix)
-        else:
-            stack.pop()
-            prefix.pop()
+
+    def width(ceiling):
+        # domain[v] == v for finite v, so a finite ceiling admits the
+        # first min(ceiling, hmax) + 1 values, and INF all of them
+        return len(domain) if ceiling == INF else min(ceiling, hmax) + 1
+
+    # bounds[k][i]: the widths that layer k+1 = domain[i] puts on layers
+    # k+2..d, each by `_ceiling` of the pair of the later layer's
+    # coupling-table entry that names layer k+1 (none puts INF), read
+    # against {k: v}, the value of layer k+1 alone
+    bounds = []
+    for k in range(d - 1):
+        named = [tuple(pair for pair in pairs if pair[0] == k + 1) for pairs in table[k + 1 :]]
+        bounds.append(
+            [tuple(width(_ceiling(pairs, {k: v})) for pairs in named) for v in domain]
+        )
+
+    def stems(stem, widths):
+        # each stem under `stem`, with the widths of layers d-1 and d
+        if len(stem) == d - 2:
+            yield stem, widths
+            return
+        rest = widths[1:]
+        for v, bound in zip(domain[: widths[0]], bounds[len(stem)]):
+            yield from stems(stem + (v,), tuple(map(min, rest, bound)))
+
+    last = [bound for (bound,) in bounds[d - 2]]
+    for stem, (width_before, width_last) in stems((), (len(domain),) * d):
+        for v, bound in zip(domain[:width_before], last):
+            yield (*stem, v), domain[: min(bound, width_last)]
 
 
 def enumerate_p_admissible(d: int, p: int, hmax: int):
@@ -303,10 +320,11 @@ def enumerate_p_admissible(d: int, p: int, hmax: int):
 
     Returns (count, rows): the count comes from count_p_admissible, and
     rows is a lazy walk of (prefix, admitted) pairs, each an admissible
-    prefix of layers 1..d-1 with the values layer d admits under it; it
-    costs nothing until it is read.  Flattened, the rows list the
-    vectors in ascending order (lexicographic, inf last).  Since the
-    inequality always bounds the larger layer, the walk prunes exactly.
+    prefix of layers 1..d-1 with the values layer d admits under it, a
+    prefix of threshold_values(hmax); it costs nothing until it is read.
+    Flattened, the rows list the vectors in ascending order
+    (lexicographic, inf last).  Since the inequality always bounds the
+    larger layer, the walk prunes exactly.
     A window with more than ENUM_BUDGET candidate vectors is refused
     before any row.
     """

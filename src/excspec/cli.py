@@ -213,8 +213,11 @@ def write_ideal_rows(rows, hmax: int, fmt: str) -> None:
     """Write the (prefix, admitted) rows of classify.enumerate_p_admissible
     as they come: for "json" the bytes of json.dumps of the string rows
     with separators (",", ":"), otherwise one "f = (...)" line per
-    vector.  Each value's text is made once and each prefix is formatted
-    once, and the text goes out in chunks of prefixes, so neither the
+    vector.  Each value's text is made once.  A row extends the text of
+    the last row's stem, its prefix but the last value, and formats the
+    stem afresh only when it changes; its admitted values, a prefix of
+    threshold_values(hmax), are one slice of the texts of the last
+    value.  The text goes out in chunks of prefixes, so neither the
     vectors nor the rows are ever held."""
     if fmt == "json":
         start, sep, end, head, piece, tail = "[", ",", "]\n", "[", '"{}",', '"{}"]'
@@ -222,12 +225,16 @@ def write_ideal_rows(rows, hmax: int, fmt: str) -> None:
         start, sep, end, head, piece, tail = "", "\n", "\n", "f = (", "{}, ", "{})"
     domain = classify.threshold_values(hmax)
     pieces = {v: piece.format(v) for v in domain}
-    tails = {v: tail.format(v) for v in domain}
+    tails = [tail.format(v) for v in domain]
 
     def blocks():
+        stem = None
         for prefix, admitted in rows:
-            lead = head + "".join([pieces[v] for v in prefix])
-            yield sep.join([lead + tails[v] for v in admitted])
+            if prefix[:-1] != stem:
+                stem = prefix[:-1]
+                stem_text = head + "".join([pieces[v] for v in stem])
+            lead = stem_text + pieces[prefix[-1]] if prefix else head
+            yield lead + (sep + lead).join(tails[: len(admitted)])
 
     write = sys.stdout.write
     write(start)

@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,42 @@ from excspec.burnside import (
     ring_check,
     smith_normal_form,
 )
-from excspec.combinat import BudgetError, mu_brute
+from excspec.combinat import BudgetError, mu_brute, mu_incl_excl, surjections
 
 
 def coeff_vectors(d: int):
     return st.tuples(*([st.integers(min_value=-9, max_value=9)] * d)).map(RingElement)
+
+
+def dense_elements(d: int, count: int, seed: int) -> list[RingElement]:
+    # every coefficient nonzero, so that every basis pair contributes
+    rng = random.Random(seed)
+    return [
+        RingElement(tuple(rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(d)))
+        for _ in range(count)
+    ]
+
+
+def naive_multiply(pres, a, b) -> RingElement:
+    # the bilinear sum over every ordered basis pair and every l
+    d = pres.d
+    return RingElement(tuple(
+        sum(
+            a.coeffs[i - 1] * b.coeffs[j - 1] * pres.structure_constant(i, j, l)
+            for i in range(1, d + 1)
+            for j in range(1, d + 1)
+        )
+        for l in range(1, d + 1)
+    ))
+
+
+def naive_ghost(a: RingElement) -> tuple[int, ...]:
+    # component i is sum_j surj(i, j) a_j
+    d = a.dim
+    return tuple(
+        sum(surjections(i, j) * a.coeffs[j - 1] for j in range(1, d + 1))
+        for i in range(1, d + 1)
+    )
 
 
 class TestPresentation:
@@ -47,6 +80,24 @@ class TestPresentation:
             for j in range(1, 5):
                 for l in range(1, 5):
                     assert pres.structure_constant(i, j, l) == mu_brute(i, j, l)
+
+    def test_structure_constants_are_the_closed_form_on_every_triple(self):
+        # mu holds the nonzero values of mu_incl_excl, in both orders of
+        # each pair, for every rank present accepts
+        top = PRESENT_MAX_D
+        oracle = {
+            (i, j, l): mu_incl_excl(i, j, l)
+            for i in range(1, top + 1)
+            for j in range(1, top + 1)
+            for l in range(1, top + 1)
+        }
+        for d in range(1, top + 1):
+            want = {
+                (i, j, l): value
+                for (i, j, l), value in oracle.items()
+                if max(i, j, l) <= d and value
+            }
+            assert present(d).mu == want, d
 
     def test_structure_constant_symmetry(self):
         pres = present(7)
@@ -78,6 +129,14 @@ class TestRingArithmetic:
         pres = present(2)
         x2 = pres.basis(2)
         assert pres.multiply(x2, x2) == x2.scale(2)
+
+    def test_multiply_is_the_bilinear_sum(self):
+        for d in range(1, PRESENT_MAX_D + 1):
+            pres = present(d)
+            elements = dense_elements(d, 6, seed=d)
+            for a, b in zip(elements[::2], elements[1::2]):
+                assert pres.multiply(a, b) == naive_multiply(pres, a, b), d
+                assert pres.multiply(b, a) == naive_multiply(pres, b, a), d
 
     def test_dimension_mismatch(self):
         pres = present(3)
@@ -129,6 +188,33 @@ class TestGhost:
         assert pres.ghost(pres.basis(2)) == (0, 2, 6)
         assert pres.ghost(pres.one()) == (1, 1, 1)
 
+    def test_ghost_is_the_surjection_sum(self):
+        for d in range(1, PRESENT_MAX_D + 1):
+            pres = present(d)
+            for a in dense_elements(d, 4, seed=100 + d) + [pres.basis(i) for i in range(1, d + 1)]:
+                assert pres.ghost(a) == naive_ghost(a), d
+
+    def test_hom_check_compares_the_seeded_products(self, monkeypatch):
+        # every basis pair, then `trials` pairs of seeded draws in [-9, 9]
+        d, trials, seed = 5, 4, 3
+        pres = present(d)
+        seen = []
+        multiply = BurnsidePresentation.multiply
+
+        def spy(self, a, b):
+            seen.append((a, b))
+            return multiply(self, a, b)
+
+        monkeypatch.setattr(BurnsidePresentation, "multiply", spy)
+        assert ghost_is_hom_check(d, trials, seed)
+        rng = random.Random(seed)
+        basis = [pres.basis(i) for i in range(1, d + 1)]
+        draws = [
+            tuple(RingElement(tuple(rng.randint(-9, 9) for _ in range(d))) for _ in range(2))
+            for _ in range(trials)
+        ]
+        assert seen == list(chain(product(basis, repeat=2), draws))
+
     def test_multiplicative_on_all_small_ranks(self):
         for d in (1, 2, 3, 8):
             assert ghost_is_hom_check(d, trials=20)
@@ -161,6 +247,26 @@ class TestGhost:
 
 
 class TestCokernel:
+    def test_reads_the_ghost_matrix_alone(self, monkeypatch):
+        # the cokernel needs M only, so no structure constant is computed
+        calls = []
+
+        def spy(i, j, l):
+            calls.append((i, j, l))
+            return mu_incl_excl(i, j, l)
+
+        monkeypatch.setattr(burnside, "mu_incl_excl", spy)
+        present.cache_clear()
+        burnside._ghost_matrix.cache_clear()
+        try:
+            invariants = cokernel_invariants(16)
+            assert calls == []
+            assert [list(row) for row in burnside._ghost_matrix(16)] == present(16).M
+            assert calls  # the spy sees the presentation's calls
+        finally:
+            present.cache_clear()
+        assert factorial_product_group_matches(invariants, 16)
+
     def test_rank_one_trivial(self):
         assert cokernel_invariants(1) == [1]
 

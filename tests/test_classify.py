@@ -50,6 +50,37 @@ PINNED_ENUMERATIONS = {
 }
 
 
+def naive_rows(d, p, hmax):
+    """The walk's (prefix, admitted) rows, each node taking its layer's
+    ceiling afresh from the whole prefix with `_ceiling`."""
+    domain = threshold_values(hmax)
+    table = classify._coupling_table(p, d)
+
+    def admitted(prefix):
+        ceiling = classify._ceiling(table[len(prefix)], prefix)
+        return domain if ceiling == INF else domain[: min(ceiling, hmax) + 1]
+
+    def walk(prefix):
+        if len(prefix) == d - 1:
+            yield prefix, admitted(prefix)
+        else:
+            for v in admitted(prefix):
+                yield from walk(prefix + (v,))
+
+    return list(walk(()))
+
+
+# Every window up to d = 9 with at most 3 * 10**4 candidate vectors,
+# for the primes whose classes couple in it.
+WALK_WINDOWS = [
+    (d, p, h)
+    for d in range(1, 10)
+    for p in (2, 3, 5, 7)
+    for h in range(0, 7)
+    if (h + 2) ** d <= 3 * 10**4
+]
+
+
 def brute_enumerate(d, p, hmax):
     """Independent filter: enumerate every vector and check the
     inequality with the brute-force chain-search distance."""
@@ -118,6 +149,18 @@ class TestPAdmissible:
                 for k in range(1, d + 1)
             )
             assert classify._coupling_table(p, d) == oracle
+
+    def test_coupling_cache_is_bounded(self):
+        # a table holds d(d-1)/2 pairs for p = 2, so the cache keeps a
+        # few of them, not one per window ever checked
+        bound = classify.COUPLING_CACHE_SIZE
+        assert classify._coupling_table.cache_info().maxsize == bound
+        classify._coupling_table.cache_clear()
+        for d in (300, 5, 40, 120, 6, 7, 8, 9, 10, 11, 12):
+            for p in (2, 3):
+                assert is_p_admissible((0,) * d, p, d)
+                assert classify._coupling_table.cache_info().currsize <= bound
+        assert classify._coupling_table.cache_info().currsize == bound
 
     @pytest.mark.parametrize("d, p, hmax", [(2, 2, 2), (3, 2, 1), (3, 3, 2)] + BRUTE_WINDOWS)
     def test_matches_brute_filter(self, d, p, hmax):
@@ -391,6 +434,20 @@ class TestEnumeration:
     def test_threshold_values(self):
         assert threshold_values(0) == (0, INF)
         assert threshold_values(3) == (0, 1, 2, 3, INF)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rows_are_the_naive_walk(self, p):
+        for d, q, hmax in WALK_WINDOWS:
+            if q == p:
+                _, rows = enumerate_p_admissible(d, p, hmax)
+                assert list(rows) == naive_rows(d, p, hmax), (d, p, hmax)
+
+    def test_admitted_values_are_a_prefix_of_the_domain(self):
+        # the --list writer slices its value texts by len(admitted)
+        for d, p, hmax in [(1, 2, 3), (2, 2, 40), (6, 3, 3), (5, 2, 2)]:
+            domain = threshold_values(hmax)
+            for _, admitted in enumerate_p_admissible(d, p, hmax)[1]:
+                assert admitted == domain[: len(admitted)]
 
     def test_rows_are_a_lazy_walk(self):
         _, rows = enumerate_p_admissible(8, 3, 4)

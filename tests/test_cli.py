@@ -274,10 +274,12 @@ class TestIdealsStreaming:
     """`ideals --list` writes its rows as the walk yields them, with the
     bytes of the formatting that held the whole list."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_output_is_the_held_list_formatting(self, run_cli, d, p):
         for hmax in range(4):
+            if (hmax + 2) ** d > 2 * 10**4:
+                continue
             _, vectors = listed_vectors(d, p, hmax)
             rows = [[str(v) for v in f] for f in vectors]
             argv = ["ideals", str(d), str(p), str(hmax), "--list"]

@@ -6,7 +6,8 @@ the sha256 of its stdout.  The subset takes every `cli` query shape
 (subcommand, spectrum variant and flags, values dropped) and, within a
 shape ordered by output size, the entries at 0%, 50% and 90%: every
 subcommand, every `spec` variant and every output format, at small and
-mid-sized windows.  The table is only read here.
+mid-sized windows, and the benchmark's anchor queries.  The table is
+only read here.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from conftest import invoke_cli
 
 REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
 QUANTILES = (0, 0.5, 0.9)
+# The largest query of each kernel the benchmark's tail is read from.
+ANCHORS = ("cli ideals 8 3 4 --list --json", "cli ring 16 --check")
 
 
 def _is_value(token: str) -> bool:
@@ -41,6 +44,7 @@ def _subset() -> list:
     for entries in shapes.values():
         entries.sort()
         picked.update(entries[int(q * (len(entries) - 1))][1:] for q in QUANTILES)
+    picked.update((key, queries[key]) for key in ANCHORS)
     return [pytest.param(key, ref, id=key) for key, ref in sorted(picked)]
 
 

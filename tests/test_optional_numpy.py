@@ -1,8 +1,9 @@
 """excspec does not use numpy: the package, the CLI (the brute-force `mu`
 oracle included) and both scripts run with numpy unimportable.  Nor does
 its runtime path load `fractions` or `decimal`, whose import a cold query
-would pay.  Each run happens in a fresh interpreter, so that what this
-test session has loaded does not count."""
+would pay, and `import excspec.cli` loads no stdlib module beyond those
+it loads today.  Each run happens in a fresh interpreter, so that what
+this test session has loaded does not count."""
 
 import json
 import os
@@ -82,6 +83,23 @@ step()
 print(json.dumps(steps))
 """
 
+# The stdlib modules that the package imports directly.  Start-up may load
+# what importing these loads and nothing more: the set may shrink, but a
+# new import must be weighed against the start-up it costs.
+STARTUP_IMPORTS = (
+    "__future__", "argparse", "collections", "dataclasses", "functools", "itertools",
+    "json", "math", "operator", "os", "random", "sys", "typing",
+)
+
+# Prints the modules that importing sys.argv[1:] adds to sys.modules.
+LOADS = """
+import importlib, sys
+before = set(sys.modules)
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
 # Runs cli.main on sys.argv[1:] with numpy made unimportable.
 WITHOUT_NUMPY = """
 import sys
@@ -136,6 +154,21 @@ def test_runtime_path_never_imports_fractions_or_decimal():
     assert done.returncode == 0, done.stderr
     # the last step shows the fence sees a load: fractions imports decimal
     assert json.loads(done.stdout) == [[], [], ["fractions", "decimal"]]
+
+
+def _loads(*names: str) -> set:
+    # -S: no site hooks, so that a .pth file's imports do not hide any
+    done = _python("-S", "-c", LOADS, *names)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_startup_loads_no_new_stdlib_module():
+    allowed = _loads(*STARTUP_IMPORTS)
+    loaded = {name for name in _loads("excspec.cli") if name.split(".")[0] != "excspec"}
+    assert loaded <= allowed, sorted(loaded - allowed)
+    # the fence sees a load: fractions brings decimal and numbers
+    assert not _loads("fractions") <= allowed
 
 
 @pytest.mark.parametrize("argv, out", [

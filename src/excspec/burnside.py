@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain, product
 from operator import mul
 
-from .combinat import BudgetError, mu_incl_excl, surjections
+from .combinat import BudgetError, check_degree, check_height, mu_row, surjections
 
 __all__ = [
     "RingElement",
@@ -73,28 +73,33 @@ class RingElement:
 
 class BurnsidePresentation:
     """Multiplication table and ghost matrix of the rank-d ring.
-    Immutable after construction; safe to share.  No query needs the
-    ghost matrix's inverse, s(i,j)/i!; the tests check it exactly for
-    every d that `present` accepts."""
+    Immutable after construction; safe to share.  Each unordered basis
+    pair's structure constants mu(i, j, l), l = max(i, j)..min(d, i*j),
+    come from one `mu_row` pass.  No query needs the ghost matrix's
+    inverse, s(i,j)/i!; the tests check it exactly for every d that
+    `present` accepts."""
 
     def __init__(self, d: int):
         self.M: list[list[int]] = [list(row) for row in _ghost_matrix(d)]
         self.d = d
-        # mu[(i, j, l)] for 1 <= i, j, l <= d, nonzero entries only; mu is
-        # symmetric in i and j, so each unordered pair is computed once.
-        # _products[i-1][j-1]: the nonzero terms (l-1, mu) of x_i x_j, one
-        # tuple shared by both orders of the pair
+        # M is lower triangular: row i-1 ends at its diagonal entry i!
+        self._lower = [row[:i] for i, row in enumerate(self.M, 1)]
+        # mu[(i, j, l)] for 1 <= i, j, l <= d, nonzero entries only, in
+        # both orders of each pair.  _products[i-1][j-1]: the nonzero
+        # terms (l-1, mu) of x_i x_j, one tuple shared by both orders
         self.mu: dict[tuple[int, int, int], int] = {}
         self._products: list[list[tuple]] = [[()] * d for _ in range(d)]
         for i in range(1, d + 1):
             for j in range(i, d + 1):
-                terms = []
-                for l in range(j, min(d, i * j) + 1):
-                    value = mu_incl_excl(i, j, l)
-                    if value:
-                        self.mu[(i, j, l)] = self.mu[(j, i, l)] = value
-                        terms.append((l - 1, value))
-                self._products[i - 1][j - 1] = self._products[j - 1][i - 1] = tuple(terms)
+                top = min(d, i * j)
+                terms = tuple(
+                    (l - 1, value)
+                    for l, value in zip(range(j, top + 1), mu_row(i, j, j, top))
+                    if value
+                )
+                for l, value in terms:
+                    self.mu[(i, j, l + 1)] = self.mu[(j, i, l + 1)] = value
+                self._products[i - 1][j - 1] = self._products[j - 1][i - 1] = terms
 
     # -- elements ----------------------------------------------------------
 
@@ -114,7 +119,8 @@ class BurnsidePresentation:
         max(i,j) <= l <= i*j, ignoring the degree-d window."""
         if not (1 <= i <= self.d and 1 <= j <= self.d):
             raise ValueError("basis index out of range")
-        return {l: mu_incl_excl(i, j, l) for l in range(max(i, j), i * j + 1)}
+        lo = max(i, j)
+        return dict(zip(range(lo, i * j + 1), mu_row(i, j, lo, i * j)))
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         """Bilinear extension of the basis products; commutative."""
@@ -135,7 +141,7 @@ class BurnsidePresentation:
         component i is sum_j surjections(i, j) * a_j."""
         if a.dim != self.d:
             raise ValueError("dimension mismatch with presentation")
-        return tuple(sum(map(mul, row, a.coeffs)) for row in self.M)
+        return tuple(sum(map(mul, row, a.coeffs)) for row in self._lower)
 
     def table_lines(self) -> list[str]:
         """Human-readable multiplication table, one basis product per line."""
@@ -148,14 +154,14 @@ class BurnsidePresentation:
         return lines
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _ghost_matrix(d: int) -> tuple[tuple[int, ...], ...]:
     """The ghost matrix of rank d, M[i][j] = surjections(i+1, j+1) in
     0-indexed storage.  The cokernel reads nothing else, so it is built
     apart from the structure constants; the rank check is here, for the
-    presentation and the cokernel alike."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    presentation and the cokernel alike.  Cached by type as well as
+    value, so that a bool or a float d reaches the check."""
+    check_degree(d)
     if d > PRESENT_MAX_D:
         raise BudgetError(f"presentation budget exceeded: d = {d} > {PRESENT_MAX_D}")
     return tuple(
@@ -164,34 +170,39 @@ def _ghost_matrix(d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def present(d: int) -> BurnsidePresentation:
-    """Build the full presentation for rank d (budget: d <= 16).  Cached:
-    a presentation is immutable, so every check of one query shares it."""
+    """Build the full presentation for rank d (budget: d <= 16).  Cached,
+    by type as well as value: a presentation is immutable, so every
+    check of one query shares it."""
     return BurnsidePresentation(d)
 
 
 def ghost_is_hom_check(d: int, trials: int = 50, seed: int = 0) -> bool:
     """Verify ghost(a*b) == ghost(a) . ghost(b) componentwise on every
     basis pair plus `trials` seeded random elements with small coefficients.
-    A False return signals a structure-constant bug.  More than
+    The ghost of each basis element and of each drawn element is taken
+    once.  A False return signals a structure-constant bug.  More than
     GHOST_TRIALS_BUDGET trials are refused before any work."""
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    check_height("trials", trials, 0)
     if trials > GHOST_TRIALS_BUDGET:
         raise BudgetError(
             f"ghost trial budget exceeded: trials = {trials} > {GHOST_TRIALS_BUDGET}"
         )
     pres = present(d)
     rng = random.Random(seed)
-    basis = [pres.basis(i) for i in range(1, d + 1)]
+
+    def with_ghost(a):
+        return a, pres.ghost(a)
+
+    basis = [with_ghost(pres.basis(i)) for i in range(1, d + 1)]
     randoms = (
-        [RingElement(tuple(rng.randint(-9, 9) for _ in range(d))) for _ in range(2)]
+        [with_ghost(RingElement(tuple(rng.randint(-9, 9) for _ in range(d)))) for _ in range(2)]
         for _ in range(trials)
     )
     return all(
-        pres.ghost(pres.multiply(a, b)) == tuple(map(mul, pres.ghost(a), pres.ghost(b)))
-        for a, b in chain(product(basis, repeat=2), randoms)
+        pres.ghost(pres.multiply(a, b)) == tuple(map(mul, ga, gb))
+        for (a, ga), (b, gb) in chain(product(basis, repeat=2), randoms)
     )
 
 

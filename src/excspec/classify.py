@@ -19,6 +19,7 @@ of the height-infinity point alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +45,7 @@ __all__ = [
 
 ENUM_BUDGET = 10**7
 DP_BUDGET = 10**6
+TAIL_SPAN = 256  # most candidate tails of one stem the listing walk keeps
 COUPLING_CACHE_SIZE = 8  # (p, d) coupling tables kept; one holds up to d(d-1)/2 pairs
 
 
@@ -268,20 +270,25 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
 
 
 def _rows(d: int, hmax: int, table):
-    """The admissible vectors in ascending order, as (prefix, admitted):
-    each admissible prefix of layers 1..d-1 with the values layer d
-    admits under it.
+    """The admissible vectors in ascending order, as (stem, key, tails)
+    rows: each admissible prefix `stem` of the first d - t layers, and
+    the admissible values of the last t layers under it, ascending.
 
     As the count DP does, the walk carries the pending ceilings of the
     later layers down to each node, each capped at hmax and held as the
-    number of domain values it admits, so that a node's admitted values
-    are one slice of the domain.  It recurses over the stems, the
-    prefixes of layers 1..d-2, and a stem's rows differ only in layer
-    d-1."""
+    width of the domain prefix it admits, so that a node's admitted
+    values are one slice of the domain.  A stem's tails depend only on
+    the widths it leaves on the last t layers, and its width on the
+    first of them only cuts them short.  So the rows with one `key`, the
+    widths on the other t - 1, hold prefixes of one tuple of tails,
+    built once.  t is the most layers, at least 1 and at most d, whose
+    (hmax + 2)**t candidates stay within TAIL_SPAN, so the tuples kept
+    hold at most TAIL_SPAN**2 / (hmax + 2) tails in all, or hmax + 2
+    when that alone is past TAIL_SPAN."""
     domain = threshold_values(hmax)
-    if d == 1:
-        yield (), domain
-        return
+    depth = 1
+    while depth < d and len(domain) ** (depth + 1) <= TAIL_SPAN:
+        depth += 1
 
     def width(ceiling):
         # domain[v] == v for finite v, so a finite ceiling admits the
@@ -293,25 +300,38 @@ def _rows(d: int, hmax: int, table):
     # coupling-table entry that names layer k+1 (none puts INF), read
     # against {k: v}, the value of layer k+1 alone
     bounds = []
-    for k in range(d - 1):
+    for k in range(d):
         named = [tuple(pair for pair in pairs if pair[0] == k + 1) for pairs in table[k + 1 :]]
         bounds.append(
             [tuple(width(_ceiling(pairs, {k: v})) for pairs in named) for v in domain]
         )
 
-    def stems(stem, widths):
-        # each stem under `stem`, with the widths of layers d-1 and d
-        if len(stem) == d - 2:
-            yield stem, widths
-            return
-        rest = widths[1:]
-        for v, bound in zip(domain[: widths[0]], bounds[len(stem)]):
-            yield from stems(stem + (v,), tuple(map(min, rest, bound)))
+    def extend(nodes, layer):
+        # each (stem, widths) node's children on `layer`, in order
+        return (
+            (stem + (v,), tuple(map(min, widths[1:], bound)))
+            for stem, widths in nodes
+            for v, bound in zip(domain[: widths[0]], layer)
+        )
 
-    last = [bound for (bound,) in bounds[d - 2]]
-    for stem, (width_before, width_last) in stems((), (len(domain),) * d):
-        for v, bound in zip(domain[:width_before], last):
-            yield (*stem, v), domain[: min(bound, width_last)]
+    def walk(start, widths, stop):
+        # each admissible run of values on layers start+1..stop, in
+        # order, with the widths it leaves on the layers after them: one
+        # lazy stage per layer
+        nodes = iter([((), widths)])
+        for k in range(start, stop):
+            nodes = extend(nodes, bounds[k])
+        return nodes
+
+    cut, tails = d - depth, {}
+    for stem, widths in walk(0, (len(domain),) * d, cut):
+        key = widths[1:]
+        if key not in tails:
+            vectors = tuple(tail for tail, _ in walk(cut, (len(domain), *key), d))
+            # min(v, hmax + 1) is the index of v in the domain
+            tails[key] = vectors, [min(tail[0], hmax + 1) for tail in vectors]
+        vectors, firsts = tails[key]
+        yield stem, key, vectors[: bisect_left(firsts, widths[0])]
 
 
 def enumerate_p_admissible(d: int, p: int, hmax: int):
@@ -319,9 +339,10 @@ def enumerate_p_admissible(d: int, p: int, hmax: int):
     satisfying the per-prime inequality.
 
     Returns (count, rows): the count comes from count_p_admissible, and
-    rows is a lazy walk of (prefix, admitted) pairs, each an admissible
-    prefix of layers 1..d-1 with the values layer d admits under it, a
-    prefix of threshold_values(hmax); it costs nothing until it is read.
+    rows is the lazy walk of `_rows`, (stem, key, tails) triples whose
+    vectors are stem + tail for each tail in tails; it costs nothing
+    until it is read.  The tails of rows with one key are prefixes of
+    one tuple.
     Flattened, the rows list the vectors in ascending order
     (lexicographic, inf last).  Since the inequality always bounds the
     larger layer, the walk prunes exactly.

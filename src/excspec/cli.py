@@ -14,13 +14,14 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 from . import balmer, burnside, classify, combinat, hzspec, zariski
 from .combinat import INF, BudgetError
 from .poset import Poset
 
 __all__ = ["main"]
+
+WRITE_CHUNK = 1 << 16  # characters of `ideals --list` text per write
 
 # The optional flags each mode of `ring` and `ideals` reads; giving any
 # other is a usage error.
@@ -210,36 +211,47 @@ def cmd_smith(args) -> int:
 
 
 def write_ideal_rows(rows, hmax: int, fmt: str) -> None:
-    """Write the (prefix, admitted) rows of classify.enumerate_p_admissible
-    as they come: for "json" the bytes of json.dumps of the string rows
-    with separators (",", ":"), otherwise one "f = (...)" line per
-    vector.  Each value's text is made once.  A row extends the text of
-    the last row's stem, its prefix but the last value, and formats the
-    stem afresh only when it changes; its admitted values, a prefix of
-    threshold_values(hmax), are one slice of the texts of the last
-    value.  The text goes out in chunks of prefixes, so neither the
-    vectors nor the rows are ever held."""
+    """Write the (stem, key, tails) rows of
+    classify.enumerate_p_admissible as they come: for "json" the bytes
+    of json.dumps of the string rows with separators (",", ":"),
+    otherwise one "f = (...)" line per vector.  Each value's text is
+    made once for the first place of a vector and once for a later one.
+    The tails of rows with one key are prefixes of one tuple, so their
+    texts, the completions, are made once per key and sliced; a row is
+    written as lead + (sep + lead).join(completions), where lead is the
+    text of its stem.  The text goes out in chunks of about WRITE_CHUNK
+    characters, so neither the vectors nor the rows are ever held."""
     if fmt == "json":
-        start, sep, end, head, piece, tail = "[", ",", "]\n", "[", '"{}",', '"{}"]'
+        start, sep, end, head, first, later, close = "[", ",", "]\n", "[", '"{}"', ',"{}"', "]"
     else:
-        start, sep, end, head, piece, tail = "", "\n", "\n", "f = (", "{}, ", "{})"
+        start, sep, end, head, first, later, close = "", "\n", "\n", "f = (", "{}", ", {}", ")"
     domain = classify.threshold_values(hmax)
-    pieces = {v: piece.format(v) for v in domain}
-    tails = [tail.format(v) for v in domain]
+    first_text, later_text = ({v: form.format(v) for v in domain} for form in (first, later))
 
-    def blocks():
-        stem = None
-        for prefix, admitted in rows:
-            if prefix[:-1] != stem:
-                stem = prefix[:-1]
-                stem_text = head + "".join([pieces[v] for v in stem])
-            lead = stem_text + pieces[prefix[-1]] if prefix else head
-            yield lead + (sep + lead).join(tails[: len(admitted)])
+    def values_text(values, place):
+        # the text of `values`, the first of which is at `place` in its vector
+        if place or not values:
+            return "".join(map(later_text.__getitem__, values))
+        return first_text[values[0]] + "".join(map(later_text.__getitem__, values[1:]))
+
+    def chunks():
+        completions, batch, size = {}, [], 0
+        for stem, key, tails in rows:
+            done = completions.setdefault(key, [])
+            if len(done) < len(tails):
+                done += [values_text(tail, len(stem)) + close for tail in tails[len(done) :]]
+            lead = head + values_text(stem, 0)
+            batch.append(lead + (sep + lead).join(done[: len(tails)]))
+            size += len(batch[-1])
+            if size >= WRITE_CHUNK:
+                yield sep.join(batch)
+                batch, size = [], 0
+        if batch:
+            yield sep.join(batch)
 
     write = sys.stdout.write
     write(start)
-    chunks = blocks()
-    for i, chunk in enumerate(iter(lambda: sep.join(islice(chunks, 1024)), "")):
+    for i, chunk in enumerate(chunks()):
         write(sep + chunk if i else chunk)
     write(end)
 

@@ -27,6 +27,7 @@ __all__ = [
     "surjections",
     "mu_brute",
     "mu_incl_excl",
+    "mu_row",
     "mu_stirling",
     "digit_sum",
     "ppp_exists",
@@ -37,6 +38,7 @@ __all__ = [
     "shortest_ppp_chain",
     "is_prime",
     "check_window",
+    "check_degree",
     "check_height",
 ]
 
@@ -103,8 +105,7 @@ def check_window(d: int, primes: Iterable[int]) -> tuple[int, ...]:
     """Validated scope of a degree-d window: d >= 1 and a non-empty set
     of genuine primes, returned sorted and without repeats.  Every
     constructor of a window-shaped object checks its input here."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d = {d}")
+    check_degree(d)
     prime_tuple = tuple(sorted(set(primes)))
     if not prime_tuple:
         raise ValueError("prime set must be non-empty")
@@ -112,6 +113,15 @@ def check_window(d: int, primes: Iterable[int]) -> tuple[int, ...]:
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
     return prime_tuple
+
+
+def check_degree(d) -> None:
+    """The one rule for the degree d of a window: an int that is not a
+    bool, and at least 1.  Raises ValueError naming the value given."""
+    if type(d) is not int:
+        raise ValueError(f"need d to be an int (not a bool), got d = {d!r}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d = {d}")
 
 
 def check_height(name: str, value, floor: int, infinite: bool = False) -> None:
@@ -234,9 +244,7 @@ def mu_brute(i: int, j: int, k: int) -> int:
 
 
 def mu_incl_excl(i: int, j: int, k: int) -> int:
-    """Good-subset count via the double alternating sum
-
-        mu(i,j,k) = sum_{s,t >= 0} (-1)^(s+t) C((i-s)(j-t), k) C(i,s) C(j,t).
+    """Good-subset count via the double alternating sum of `mu_row`.
 
     Zero at once outside max(i,j) <= k <= i*j, where no good subset
     exists; within it, refused past i*j = MU_INCL_EXCL_CELL_BUDGET.
@@ -249,14 +257,31 @@ def mu_incl_excl(i: int, j: int, k: int) -> int:
         raise BudgetError(
             f"mu_incl_excl budget exceeded: i*j = {i * j} > {MU_INCL_EXCL_CELL_BUDGET}"
         )
-    total = 0
-    for s in range(i + 1):
-        ci = math.comb(i, s)
-        for t in range(j + 1):
-            term = binomial((i - s) * (j - t), k)
-            if term:
-                total += (-1) ** (s + t) * ci * math.comb(j, t) * term
-    return total
+    return mu_row(i, j, k, k)[0]
+
+
+def mu_row(i: int, j: int, lo: int, hi: int) -> list[int]:
+    """mu(i, j, l) for lo <= l <= hi (lo >= 1), by the double alternating sum
+
+        mu(i,j,l) = sum_{s,t >= 0} (-1)^(s+t) C(i,s) C(j,t) C((i-s)(j-t), l),
+
+    taken once for the whole row: the signed products C(i,s) C(j,t) are
+    first summed into one coefficient c_n per cell count
+    n = (i-s)(j-t) >= lo, and then mu(i,j,l) = sum_n c_n C(n, l)."""
+    coeffs = [0] * (i * j + 1)
+    # (b, (-1)^t C(j, t)) for b = j - t >= 1 descending, while b * i >= lo
+    columns = [(b, (-1) ** (j - b) * math.comb(j, b)) for b in range(j, 0, -1) if b * i >= lo]
+    for a in range(i, 0, -1):  # a = i - s
+        if a * j < lo:
+            break
+        ca = (-1) ** (i - a) * math.comb(i, a)
+        for b, cb in columns:
+            n = a * b
+            if n < lo:
+                break
+            coeffs[n] += ca * cb
+    terms = [(n, c) for n, c in enumerate(coeffs) if c]
+    return [sum([c * math.comb(n, l) for n, c in terms if n >= l]) for l in range(lo, hi + 1)]
 
 
 def mu_stirling(i: int, j: int, k: int) -> int:

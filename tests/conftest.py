@@ -22,9 +22,9 @@ def invoke_cli(argv: list[str]) -> tuple[int, str, str]:
 
 def listed_vectors(d: int, p: int, hmax: int) -> tuple[int, list[tuple]]:
     """(count, vectors) of enumerate_p_admissible: its lazy
-    (prefix, admitted) rows flattened into one ascending list."""
+    (stem, key, tails) rows flattened into one ascending list."""
     count, rows = enumerate_p_admissible(d, p, hmax)
-    return count, [prefix + (v,) for prefix, admitted in rows for v in admitted]
+    return count, [stem + tail for stem, _, tails in rows for tail in tails]
 
 
 @pytest.fixture

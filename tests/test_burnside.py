@@ -20,7 +20,7 @@ from excspec.burnside import (
     ring_check,
     smith_normal_form,
 )
-from excspec.combinat import BudgetError, mu_brute, mu_incl_excl, surjections
+from excspec.combinat import BudgetError, mu_brute, mu_row, mu_stirling, surjections
 
 
 def coeff_vectors(d: int):
@@ -82,11 +82,12 @@ class TestPresentation:
                     assert pres.structure_constant(i, j, l) == mu_brute(i, j, l)
 
     def test_structure_constants_are_the_closed_form_on_every_triple(self):
-        # mu holds the nonzero values of mu_incl_excl, in both orders of
-        # each pair, for every rank present accepts
+        # mu holds the nonzero values of the Stirling closed form, which
+        # shares no code with the alternating sum present reads, in both
+        # orders of each pair, for every rank present accepts
         top = PRESENT_MAX_D
         oracle = {
-            (i, j, l): mu_incl_excl(i, j, l)
+            (i, j, l): mu_stirling(i, j, l)
             for i in range(1, top + 1)
             for j in range(1, top + 1)
             for l in range(1, top + 1)
@@ -251,11 +252,11 @@ class TestCokernel:
         # the cokernel needs M only, so no structure constant is computed
         calls = []
 
-        def spy(i, j, l):
-            calls.append((i, j, l))
-            return mu_incl_excl(i, j, l)
+        def spy(i, j, lo, hi):
+            calls.append((i, j, lo, hi))
+            return mu_row(i, j, lo, hi)
 
-        monkeypatch.setattr(burnside, "mu_incl_excl", spy)
+        monkeypatch.setattr(burnside, "mu_row", spy)
         present.cache_clear()
         burnside._ghost_matrix.cache_clear()
         try:
@@ -422,6 +423,24 @@ class TestRingCheck:
     def test_ghost_failure_is_reported(self, monkeypatch):
         monkeypatch.setattr(burnside, "ghost_is_hom_check", lambda d, trials, seed: False)
         assert ring_check(3)["ghost multiplicativity (seed=0)"] is False
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_a_corrupted_product_term_fails_the_check(self, run_cli, d):
+        # one stored term of x_i x_d, i = d // 2 + 1, off by one in a
+        # fresh presentation: the ghost check must see it
+        present.cache_clear()
+        try:
+            pres = present(d)
+            i = d // 2 + 1
+            (l, value), *rest = pres._products[i - 1][d - 1]
+            corrupted = ((l, value + 1), *rest)
+            pres._products[i - 1][d - 1] = pres._products[d - 1][i - 1] = corrupted
+            assert ghost_is_hom_check(d, trials=0) is False
+            code, out, _ = run_cli(["ring", str(d), "--check"])
+        finally:
+            present.cache_clear()
+        assert code == 1
+        assert "ghost multiplicativity (seed=0): FAIL" in out.splitlines()
 
     @pytest.mark.parametrize("d", ["4", "16"])
     def test_one_query_builds_one_presentation(self, run_cli, monkeypatch, d):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import re
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -37,8 +38,7 @@ BRUTE_WINDOWS = [(4, 2, 3), (5, 2, 2), (7, 2, 1), (5, 3, 3), (6, 3, 2), (6, 5, 2
 # (count, first 16 hex digits of the sha256 of repr(list)) that
 # enumerate_p_admissible gave when it checked the inequality pair by pair
 # for each candidate value, before the per-layer ceiling and before its
-# list became lazy (prefix, admitted) rows; the digest is over the
-# flattened rows.
+# list became lazy rows; the digest is over the flattened rows.
 PINNED_ENUMERATIONS = {
     (8, 3, 4): (83485, "53c98662b917692a"),
     (8, 3, 3): (27378, "c4fe400fc80c0115"),
@@ -50,9 +50,10 @@ PINNED_ENUMERATIONS = {
 }
 
 
-def naive_rows(d, p, hmax):
-    """The walk's (prefix, admitted) rows, each node taking its layer's
-    ceiling afresh from the whole prefix with `_ceiling`."""
+def naive_vectors(d, p, hmax):
+    """The admissible vectors in ascending order, by a walk in which
+    each node takes its layer's ceiling afresh from the whole prefix
+    with `_ceiling`."""
     domain = threshold_values(hmax)
     table = classify._coupling_table(p, d)
 
@@ -61,8 +62,8 @@ def naive_rows(d, p, hmax):
         return domain if ceiling == INF else domain[: min(ceiling, hmax) + 1]
 
     def walk(prefix):
-        if len(prefix) == d - 1:
-            yield prefix, admitted(prefix)
+        if len(prefix) == d:
+            yield prefix
         else:
             for v in admitted(prefix):
                 yield from walk(prefix + (v,))
@@ -439,20 +440,42 @@ class TestEnumeration:
     def test_rows_are_the_naive_walk(self, p):
         for d, q, hmax in WALK_WINDOWS:
             if q == p:
-                _, rows = enumerate_p_admissible(d, p, hmax)
-                assert list(rows) == naive_rows(d, p, hmax), (d, p, hmax)
+                assert listed_vectors(d, p, hmax)[1] == naive_vectors(d, p, hmax), (d, p, hmax)
 
     def test_admitted_values_are_a_prefix_of_the_domain(self):
-        # the --list writer slices its value texts by len(admitted)
+        # the values the last layer admits under each prefix of the others
         for d, p, hmax in [(1, 2, 3), (2, 2, 40), (6, 3, 3), (5, 2, 2)]:
             domain = threshold_values(hmax)
-            for _, admitted in enumerate_p_admissible(d, p, hmax)[1]:
-                assert admitted == domain[: len(admitted)]
+            admitted = defaultdict(list)
+            for vector in listed_vectors(d, p, hmax)[1]:
+                admitted[vector[:-1]].append(vector[-1])
+            for values in admitted.values():
+                assert tuple(values) == domain[: len(values)]
+
+    @pytest.mark.parametrize(
+        "window", [(1, 2, 3), (2, 2, 40), (2, 2, 300), (3, 2, 20), (6, 3, 3), (8, 3, 4), (9, 7, 3), (6, 3, 6)]
+    )
+    def test_tails_of_one_key_are_prefixes_of_one_tuple(self, window):
+        # the --list writer makes the texts of a key's tails once and
+        # slices them; each row's tails are what its stem admits
+        d, p, hmax = window
+        longest = {}
+        stems = []
+        for stem, key, tails in enumerate_p_admissible(d, p, hmax)[1]:
+            stems.append(stem)
+            if len(tails) > len(longest.get(key, ())):
+                longest[key] = tails
+        for stem, key, tails in enumerate_p_admissible(d, p, hmax)[1]:
+            assert tails and tails == longest[key][: len(tails)]
+            assert {len(stem + tail) for tail in tails} == {d}
+        assert stems == sorted(set(stems)) and len({len(stem) for stem in stems}) == 1
+        assert sum(map(len, longest.values())) <= classify.TAIL_SPAN**2
 
     def test_rows_are_a_lazy_walk(self):
         _, rows = enumerate_p_admissible(8, 3, 4)
         assert iter(rows) is rows
-        assert next(rows) == ((0,) * 7, (0, 1))
+        stem, _, tails = next(rows)
+        assert [stem + tail for tail in tails][:3] == [(0,) * 8, (0,) * 7 + (1,), (0,) * 6 + (1, 0)]
 
 
 # Every window of the benchmark's ideals --count pool, plus (10, 2, 3).
@@ -474,7 +497,7 @@ class TestCount:
         for d, q, hmax in COUNT_WINDOWS:
             if q == p:
                 _, rows = enumerate_p_admissible(d, p, hmax)
-                walked = sum(len(admitted) for _, admitted in rows)
+                walked = sum(len(tails) for _, _, tails in rows)
                 assert count_p_admissible(d, p, hmax) == walked, (d, p, hmax)
 
     @pytest.mark.parametrize(

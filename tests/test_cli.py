@@ -275,7 +275,7 @@ class TestIdealsStreaming:
     bytes of the formatting that held the whole list."""
 
     @pytest.mark.parametrize("d", range(1, 9))
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_output_is_the_held_list_formatting(self, run_cli, d, p):
         for hmax in range(4):
             if (hmax + 2) ** d > 2 * 10**4:

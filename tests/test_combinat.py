@@ -32,6 +32,7 @@ from excspec.combinat import (
     is_prime,
     mu_brute,
     mu_incl_excl,
+    mu_row,
     mu_stirling,
     ppp_enumerate,
     ppp_exists,
@@ -40,7 +41,9 @@ from excspec.combinat import (
     stirling2,
     surjections,
 )
-from excspec.hzspec import HZPrime, hz_admissible_subset, hz_leq
+from excspec.burnside import cokernel_invariants, ghost_is_hom_check, present, ring_check
+from excspec.hzspec import HZPrime, hz_admissible_subset, hz_leq, hz_poset
+from excspec.zariski import z_poset
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -89,6 +92,39 @@ class TestBasicCounts:
         for d, primes in ((0, [2]), (-1, [2]), (2, []), (2, [2, 4]), (2, [1])):
             with pytest.raises(ValueError):
                 check_window(d, primes)
+
+
+# Every public entry point that takes a window degree d, called with d
+# alone varying.
+DEGREE_ENTRY_POINTS = {
+    "check_window": lambda d: check_window(d, [2]),
+    "b_truncation": lambda d: b_truncation(d, [2], 2),
+    "z_poset": lambda d: z_poset(d, [2]),
+    "hz_poset": lambda d: hz_poset(d, [2]),
+    "count_p_admissible": lambda d: count_p_admissible(d, 2, 1),
+    "enumerate_p_admissible": lambda d: enumerate_p_admissible(d, 2, 1),
+    "present": present,
+    "cokernel_invariants": cokernel_invariants,
+    "ghost_is_hom_check": lambda d: ghost_is_hom_check(d, 0),
+    "ring_check": lambda d: ring_check(d, 0),
+}
+
+
+@pytest.mark.parametrize("d", [True, False, 2.0, 2.5, "2", 0, -1])
+@pytest.mark.parametrize("entry", sorted(DEGREE_ENTRY_POINTS))
+def test_one_degree_rule_at_every_entry_point(entry, d):
+    # an int that is not a bool, at least 1; present(1) being cached
+    # does not let present(True) through
+    present(1)
+    with pytest.raises(ValueError, match="^need d"):
+        DEGREE_ENTRY_POINTS[entry](d)
+    DEGREE_ENTRY_POINTS[entry](2)
+
+
+@pytest.mark.parametrize("trials", [True, 2.0, -1, "3"])
+def test_trials_rule(trials):
+    with pytest.raises(ValueError, match="^trials must be an int >= 0"):
+        ghost_is_hom_check(3, trials)
 
 
 def _swept_mu_table(i: int, j: int) -> tuple[int, ...]:
@@ -152,6 +188,15 @@ class TestMu:
         for i, j in [(5, 6), (6, 6), (4, 9)]:
             for k in range(max(i, j), i * j + 1):
                 assert mu_incl_excl(i, j, k) == mu_stirling(i, j, k), (i, j, k)
+
+    def test_row_is_the_stirling_closed_form(self):
+        # one pass of the alternating sum gives each l of the window,
+        # zero below max(i, j) and above i*j
+        for i in range(1, 13):
+            for j in range(1, 13):
+                for lo in (1, max(i, j), i * j):
+                    want = [mu_stirling(i, j, l) for l in range(lo, i * j + 2)]
+                    assert mu_row(i, j, lo, i * j + 1) == want, (i, j, lo)
 
     def test_top_cardinality_is_one(self):
         for i in range(1, 5):

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import invoke_cli
 
-from excspec import balmer, classify, poset
+from excspec import balmer, burnside, classify, combinat, poset
 
 TRACED_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "traced_child.py"
 
@@ -103,3 +103,35 @@ def test_ideals_list_reports_its_rows_through_the_module(traced_child, monkeypat
     printed = len(json.loads(out)) if fmt else len(out.splitlines())
     assert code == 0 and len(results) == 1
     assert results[0][0] == counts["classify.functions_out"] == printed == 3248
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["ring", "4", "--check"], ("present", "ghost_is_hom_check", "quotient_presentation_check")),
+        (["ring", "16", "--check"], ("present", "ghost_is_hom_check")),
+        (["mu", "3", "4", "5"], ("mu_incl_excl",)),
+        (["mu", "3", "4", "5", "--all"], ("mu_incl_excl",)),
+    ],
+)
+def test_algebra_counters_are_reached_through_module_attributes(monkeypatch, argv, names):
+    # the traced run's algebra gate reads burnside.present.calls,
+    # burnside.ghost_is_hom_check.calls,
+    # burnside.quotient_presentation_check.calls and
+    # combinat.mu_incl_excl.calls; present reads combinat.mu_row, so the
+    # mu queries alone move that last counter
+    module = combinat if argv[0] == "mu" else burnside
+    calls = defaultdict(int)
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    code, _, _ = invoke_cli(argv)
+    assert code == 0
+    assert all(calls[name] for name in names), dict(calls)

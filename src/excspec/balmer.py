@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .combinat import (
-    INF, NatInfinity, check_height, check_window, delta_p, is_prime, layer_class
+    INF, NatInfinity, check_height, check_layer, check_window, delta_p, is_prime,
+    layer_class,
 )
 from .poset import Poset, check_point_budget
 from .zariski import ZariskiPrime
@@ -64,8 +65,7 @@ class BalmerPrime:
 def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPrime:
     """Validated point for the degree-d window: the height is an int
     >= 1 (not a bool) or INF."""
-    if not 1 <= layer <= d:
-        raise ValueError(f"layer {layer} out of range 1..{d}")
+    check_layer(d, layer)
     check_height("height", height, 1, infinite=True)
     if not (is_prime(char) or char == 0 and height == 1):
         raise ValueError(f"char must be prime, or 0 at height 1, got {char}")
@@ -196,8 +196,7 @@ def generator_support(trunc: SpectrumTruncation, k: int) -> frozenset:
     """Support of the k-th compact generator inside the truncation: all
     points of layer at least k.  The support is specialization-closed;
     its complement is the open image of the degree-(k-1) window."""
-    if not 1 <= k <= trunc.d:
-        raise ValueError(f"generator index {k} out of range 1..{trunc.d}")
+    check_layer(trunc.d, k)
     return frozenset(pt for pt in trunc.points if pt.layer >= k)
 
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .balmer import BalmerPrime, SpectrumTruncation
 from .combinat import (
-    INF, BudgetError, NatInfinity, check_height, check_window, delta_p, layer_class
+    INF, BudgetError, NatInfinity, check_height, check_layer, check_window, delta_p,
+    layer_class,
 )
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
 ENUM_BUDGET = 10**7
 DP_BUDGET = 10**6
 TAIL_SPAN = 256  # most candidate tails of one stem the listing walk keeps
-COUPLING_CACHE_SIZE = 8  # (p, d) coupling tables kept; one holds up to d(d-1)/2 pairs
 
 
 class TruncationError(Exception):
@@ -82,6 +81,7 @@ class AdmissibleFunction:
         object.__setattr__(self, "values", tuple(rows[p] for p in primes))
 
     def value(self, k: int, p: int) -> NatInfinity:
+        check_layer(self.d, k)
         return self.values[self.primes.index(p)][k - 1]
 
 
@@ -91,40 +91,38 @@ def PAdmissibleFunction(d: int, p: int, values) -> AdmissibleFunction:
     return AdmissibleFunction(d, (p,), (values,))
 
 
-@lru_cache(maxsize=COUPLING_CACHE_SIZE)
-def _coupling_table(p: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Entry k-1 lists the pairs (l, delta_p(k, l)) for the layers l < k
-    of `layer_class(p, k)`: the earlier layers whose thresholds bound
-    layer k's."""
-    check_window(d, (p,))
-    return tuple(
-        tuple((l, delta_p(p, k, l)) for l in layer_class(p, k)[:-1])
-        for k in range(1, d + 1)
-    )
-
-
-def _ceiling(pairs, values) -> NatInfinity:
-    """The largest threshold a layer admits, given the values of the
-    earlier layers its coupling-table entry `pairs` names: the minimum
-    of delta_p(k, l) + f(l), INF if there are none.  The admissibility
-    inequality, stated once; the count DP applies its one-pair case."""
-    return min([delta + values[l - 1] for l, delta in pairs]) if pairs else INF
-
-
 def threshold_values(hmax: int) -> tuple[NatInfinity, ...]:
     """The value set {0, ..., hmax, inf} of a threshold on the window,
     ascending; entry v is v for every finite v."""
     return (*range(hmax + 1), INF)
 
 
+def _widths(p: int, k: int, later, hmax: int) -> list[tuple[int, ...]]:
+    """Entry i: the widths of the domain prefixes that layer k at
+    domain[i] = v admits on each layer m of `later`.  The admissibility
+    inequality f(m) <= delta_p(m, k) + f(k), capped at hmax: a finite
+    v + delta_p(m, k) admits the first min(v + delta, hmax) + 1 values
+    (domain[v] == v for finite v), and INF all of them."""
+    domain = threshold_values(hmax)
+    deltas = [delta_p(p, m, k) for m in later]
+    return [
+        tuple(
+            len(domain) if v + delta == INF else min(v + delta, hmax) + 1
+            for delta in deltas
+        )
+        for v in domain
+    ]
+
+
 def is_p_admissible(values, p: int, d: int) -> bool:
-    """Whether every value is at most its layer's ceiling, that is,
-    f(k) <= delta_p(k, l) + f(l) for every pair with p-1 | k-l >= 0.
-    The input is checked by AdmissibleFunction."""
+    """Whether f(k) <= delta_p(k, l) + f(l) for every pair with
+    p-1 | k-l > 0, the admissibility inequality uncapped.  The input is
+    checked by AdmissibleFunction."""
     values = PAdmissibleFunction(d, p, values).values[0]
     return all(
-        v <= _ceiling(pairs, values)
-        for v, pairs in zip(values, _coupling_table(p, d))
+        v <= delta_p(p, k, l) + values[l - 1]
+        for k, v in enumerate(values, 1)
+        for l in layer_class(p, k)[:-1]
     )
 
 
@@ -221,9 +219,9 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
     The inequality couples only layers in one residue class mod p-1, so
     the count is a product over the classes, the `layer_class` of each
     of the last p-1 layers.  A forward DP takes each class's layers in
-    order.  Its state, the tuple of pending ceilings of the later layers
-    capped at hmax (a finite ceiling above hmax admits the same values)
-    or INF, maps to the number of prefixes that reach it.
+    order.  Its state, the tuple of pending widths of the later layers,
+    each the number of values in the domain prefix that layer admits
+    (`_widths`), maps to the number of prefixes that reach it.
 
     The budget, DP_BUDGET unless given, bounds the entries the DP
     computes: for each value of each layer, a tuple of bounds on the
@@ -247,19 +245,15 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
     domain = threshold_values(hmax)
     total = 1
     for layers in classes:
-        frontier = {(INF,) * len(layers): 1}
+        frontier = {(len(domain),) * len(layers): 1}
         for i, k in enumerate(layers):
-            # bounds[v]: the capped ceilings delta_p(m, k) + v on the class's
-            # later layers m; a state takes their pointwise minimum
-            deltas = [delta_p(p, m, k) for m in layers[i + 1 :]]
-            bounds = [
-                tuple(INF if v == INF else min(v + delta, hmax) for delta in deltas)
-                for v in domain
-            ]
-            step: dict[tuple[NatInfinity, ...], int] = {}
+            # a state takes the pointwise minimum of its pending widths
+            # and the widths its value of layer k puts on the later layers
+            bounds = _widths(p, k, layers[i + 1 :], hmax)
+            step: dict[tuple[int, ...], int] = {}
             for pending, ways in frontier.items():
-                ceiling, rest = pending[0], pending[1:]
-                admitted = bounds if ceiling == INF else bounds[: ceiling + 1]
+                rest = pending[1:]
+                admitted = bounds[: pending[0]]
                 spend(len(admitted) * len(pending))
                 for bound in admitted:
                     state = tuple(map(min, rest, bound))
@@ -269,18 +263,17 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
     return total
 
 
-def _rows(d: int, hmax: int, table):
+def _rows(d: int, p: int, hmax: int):
     """The admissible vectors in ascending order, as (stem, key, tails)
     rows: each admissible prefix `stem` of the first d - t layers, and
     the admissible values of the last t layers under it, ascending.
 
-    As the count DP does, the walk carries the pending ceilings of the
-    later layers down to each node, each capped at hmax and held as the
-    width of the domain prefix it admits, so that a node's admitted
-    values are one slice of the domain.  A stem's tails depend only on
-    the widths it leaves on the last t layers, and its width on the
-    first of them only cuts them short.  So the rows with one `key`, the
-    widths on the other t - 1, hold prefixes of one tuple of tails,
+    As the count DP does, the walk carries the pending widths of the
+    later layers down to each node (`_widths`), so that a node's
+    admitted values are one slice of the domain.  A stem's tails depend
+    only on the widths it leaves on the last t layers, and its width on
+    the first of them only cuts them short.  So the rows with one `key`,
+    the widths on the other t - 1, hold prefixes of one tuple of tails,
     built once.  t is the most layers, at least 1 and at most d, whose
     (hmax + 2)**t candidates stay within TAIL_SPAN, so the tuples kept
     hold at most TAIL_SPAN**2 / (hmax + 2) tails in all, or hmax + 2
@@ -290,21 +283,9 @@ def _rows(d: int, hmax: int, table):
     while depth < d and len(domain) ** (depth + 1) <= TAIL_SPAN:
         depth += 1
 
-    def width(ceiling):
-        # domain[v] == v for finite v, so a finite ceiling admits the
-        # first min(ceiling, hmax) + 1 values, and INF all of them
-        return len(domain) if ceiling == INF else min(ceiling, hmax) + 1
-
     # bounds[k][i]: the widths that layer k+1 = domain[i] puts on layers
-    # k+2..d, each by `_ceiling` of the pair of the later layer's
-    # coupling-table entry that names layer k+1 (none puts INF), read
-    # against {k: v}, the value of layer k+1 alone
-    bounds = []
-    for k in range(d):
-        named = [tuple(pair for pair in pairs if pair[0] == k + 1) for pairs in table[k + 1 :]]
-        bounds.append(
-            [tuple(width(_ceiling(pairs, {k: v})) for pairs in named) for v in domain]
-        )
+    # k+2..d
+    bounds = [_widths(p, k, range(k + 1, d + 1), hmax) for k in range(1, d + 1)]
 
     def extend(nodes, layer):
         # each (stem, widths) node's children on `layer`, in order
@@ -358,7 +339,7 @@ def enumerate_p_admissible(d: int, p: int, hmax: int):
     # the DP's work is within a small multiple of the walk's, so the
     # enumeration budget bounds both
     count = count_p_admissible(d, p, hmax, budget=INF)
-    return count, _rows(d, hmax, _coupling_table(p, d))
+    return count, _rows(d, p, hmax)
 
 
 def thomason_union_closure(seeds, trunc: SpectrumTruncation) -> frozenset:

@@ -40,6 +40,7 @@ __all__ = [
     "check_window",
     "check_degree",
     "check_height",
+    "check_layer",
 ]
 
 MU_BRUTE_CELL_BUDGET = 20  # count every good subset only up to here
@@ -122,6 +123,17 @@ def check_degree(d) -> None:
         raise ValueError(f"need d to be an int (not a bool), got d = {d!r}")
     if d < 1:
         raise ValueError(f"need d >= 1, got d = {d}")
+
+
+def check_layer(d, layer) -> None:
+    """The one rule for a layer of the degree-d window: d passes
+    `check_degree`, and the layer is an int that is not a bool with
+    1 <= layer <= d.  Raises ValueError naming the value given."""
+    check_degree(d)
+    if type(layer) is not int:
+        raise ValueError(f"need the layer to be an int (not a bool), got {layer!r}")
+    if not 1 <= layer <= d:
+        raise ValueError(f"layer {layer} out of range 1..{d}")
 
 
 def check_height(name: str, value, floor: int, infinite: bool = False) -> None:

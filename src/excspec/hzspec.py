@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .balmer import BalmerPrime
-from .combinat import INF, check_window, delta_p, is_prime
+from .combinat import INF, check_layer, check_window, delta_p, is_prime
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -39,8 +39,7 @@ class HZPrime:
 
 
 def hz_prime(d: int, layer: int, residue: int) -> HZPrime:
-    if not 1 <= layer <= d:
-        raise ValueError(f"layer {layer} out of range 1..{d}")
+    check_layer(d, layer)
     if residue != 0 and not is_prime(residue):
         raise ValueError(f"residue must be 0 or prime, got {residue}")
     return HZPrime(layer, residue)

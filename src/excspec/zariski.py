@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsidePresentation, RingElement
-from .combinat import check_window, is_prime, layer_class
+from .combinat import check_layer, check_window, is_prime, layer_class
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -50,8 +50,7 @@ def canonical_layer(layer: int, char: int) -> int:
 
 def zariski_prime(d: int, layer: int, char: int) -> ZariskiPrime:
     """Validated point of the rank-d spectrum."""
-    if not 1 <= layer <= d:
-        raise ValueError(f"layer {layer} out of range 1..{d}")
+    check_layer(d, layer)
     if char != 0 and not is_prime(char):
         raise ValueError(f"char must be 0 or prime, got {char}")
     return ZariskiPrime(layer, char)

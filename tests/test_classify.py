@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import itertools
 import re
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,13 +54,15 @@ PINNED_ENUMERATIONS = {
 
 def naive_vectors(d, p, hmax):
     """The admissible vectors in ascending order, by a walk in which
-    each node takes its layer's ceiling afresh from the whole prefix
-    with `_ceiling`."""
+    each node takes its layer's ceiling afresh from the whole prefix:
+    the minimum over every earlier layer l of delta_p(k, l) + f(l), INF
+    when none is finite."""
     domain = threshold_values(hmax)
-    table = classify._coupling_table(p, d)
+    deltas = [[delta_p(p, k, l) for l in range(1, k)] for k in range(1, d + 1)]
 
     def admitted(prefix):
-        ceiling = classify._ceiling(table[len(prefix)], prefix)
+        sums = (delta + v for delta, v in zip(deltas[len(prefix)], prefix))
+        ceiling = min(sums, default=INF)
         return domain if ceiling == INF else domain[: min(ceiling, hmax) + 1]
 
     def walk(prefix):
@@ -140,28 +144,39 @@ class TestPAdmissible:
         with pytest.raises(ValueError, match="threshold"):
             AdmissibleFunction(2, (2, 3), ((0, 0), (1, bad)))
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-    def test_coupling_table_is_the_all_layer_filter(self, p):
-        # the table as it was built before the class walk: every earlier
-        # layer, kept when its distance is finite
-        for d in range(1, 41):
-            oracle = tuple(
-                tuple((l, delta_p(p, k, l)) for l in range(1, k) if delta_p(p, k, l) != INF)
-                for k in range(1, d + 1)
-            )
-            assert classify._coupling_table(p, d) == oracle
+    @given(data=st.data(), d=st.integers(1, 40), p=st.sampled_from([2, 3, 5, 7, 11, 13]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_pairwise_inequality(self, data, d, p):
+        # near-constant vectors under an INF prefix, so that both answers
+        # come up at every d; the oracle checks each pair l < k with
+        # finite distance
+        cut = data.draw(st.integers(0, d), label="INF prefix")
+        base = data.draw(st.integers(0, 3), label="base")
+        tail = data.draw(st.lists(st.integers(0, 2), min_size=d - cut, max_size=d - cut))
+        values = (INF,) * cut + tuple(base + e for e in tail)
+        pairwise = all(
+            values[k - 1] <= delta_p(p, k, l) + values[l - 1]
+            for k in range(1, d + 1)
+            for l in range(1, k)
+            if delta_p(p, k, l) != INF
+        )
+        assert is_p_admissible(values, p, d) == pairwise
 
-    def test_coupling_cache_is_bounded(self):
-        # a table holds d(d-1)/2 pairs for p = 2, so the cache keeps a
-        # few of them, not one per window ever checked
-        bound = classify.COUPLING_CACHE_SIZE
-        assert classify._coupling_table.cache_info().maxsize == bound
-        classify._coupling_table.cache_clear()
-        for d in (300, 5, 40, 120, 6, 7, 8, 9, 10, 11, 12):
-            for p in (2, 3):
-                assert is_p_admissible((0,) * d, p, d)
-                assert classify._coupling_table.cache_info().currsize <= bound
-        assert classify._coupling_table.cache_info().currsize == bound
+    def test_only_widths_and_the_check_read_delta_p(self):
+        """The admissibility inequality is stated once in each of its two
+        forms: capped at hmax in `_widths`, which the count DP and the
+        listing walk read, and exact in `is_p_admissible`.  So no other
+        function of classify calls delta_p."""
+        tree = ast.parse(Path(classify.__file__).read_text())
+        callers = {
+            top.name
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "delta_p"
+        }
+        assert callers == {"_widths", "is_p_admissible"}
 
     @pytest.mark.parametrize("d, p, hmax", [(2, 2, 2), (3, 2, 1), (3, 3, 2)] + BRUTE_WINDOWS)
     def test_matches_brute_filter(self, d, p, hmax):
@@ -214,6 +229,13 @@ class TestAdmissible:
     def test_rejects_bad_shape(self, d, primes, values):
         with pytest.raises(ValueError):
             AdmissibleFunction(d, primes, values)
+
+    @pytest.mark.parametrize("k", [0, 3, -1, 1.5, True], ids=repr)
+    def test_value_refuses_a_layer_outside_the_window(self, k):
+        # an unchecked k = 0 would read the last layer's value
+        f = PAdmissibleFunction(2, 2, (0, 1))
+        with pytest.raises(ValueError, match="layer"):
+            f.value(k, 2)
 
     def test_lookup_by_prime_survives_the_sorting(self):
         f = AdmissibleFunction(2, (3, 2), ((1, 1), (2, 2)))

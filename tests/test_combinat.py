@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from excspec.balmer import (
     b_truncation,
+    balmer_prime,
+    generator_support,
     geometric_blueshift,
     smith_holds,
     smith_points,
@@ -42,8 +44,8 @@ from excspec.combinat import (
     surjections,
 )
 from excspec.burnside import cokernel_invariants, ghost_is_hom_check, present, ring_check
-from excspec.hzspec import HZPrime, hz_admissible_subset, hz_leq, hz_poset
-from excspec.zariski import z_poset
+from excspec.hzspec import HZPrime, hz_admissible_subset, hz_leq, hz_poset, hz_prime
+from excspec.zariski import z_poset, zariski_prime
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -401,6 +403,28 @@ class TestDelta:
             if congruence(node)
         ]
         assert offenders == []
+
+
+# Each constructor that takes a layer of the degree-d window, as a
+# function of (d, layer) with its other arguments valid.
+LAYER_TAKERS = {
+    "balmer_prime": lambda d, layer: balmer_prime(d, layer, 2, 2),
+    "zariski_prime": lambda d, layer: zariski_prime(d, layer, 0),
+    "hz_prime": lambda d, layer: hz_prime(d, layer, 2),
+    "generator_support": lambda d, layer: generator_support(b_truncation(d, [2], 2), layer),
+}
+
+
+class TestLayerRule:
+    @pytest.mark.parametrize("take", LAYER_TAKERS.values(), ids=LAYER_TAKERS.keys())
+    @pytest.mark.parametrize(
+        "d, layer",
+        [(3, 1.5), (3, True), (3, 0), (3, 4), (True, 1)],
+        ids=["fractional", "bool-layer", "zero", "past-d", "bool-d"],
+    )
+    def test_refuses_a_layer_outside_the_window(self, take, d, layer):
+        with pytest.raises(ValueError):
+            take(d, layer)
 
 
 class TestConcurrentCaches:

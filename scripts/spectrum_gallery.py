@@ -29,19 +29,25 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("out"))
     args = parser.parse_args()
-    args.out.mkdir(parents=True, exist_ok=True)
-    code = 0
+    code, report = 0, []  # printed once every file is written
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
         for name, argv in GALLERY.items():
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
                 code = cli.main(argv)
             if code != 0:
-                print(f"{name}: FAILED (exit {code})")
+                report.append(f"{name}: FAILED (exit {code})")
                 break
             path = args.out / f"{name}.dot"
             path.write_text(buffer.getvalue())
-            print(f"wrote {path}")
+            report.append(f"wrote {path}")
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
+        for line in report:
+            print(line)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
     except BrokenPipeError:
         # The reader took what it wanted; the final flush goes nowhere.

@@ -22,11 +22,12 @@ by bisection with `b_leq` instead of sweeping every pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .combinat import (
-    INF, NatInfinity, check_height, check_layer, check_window, delta_p, is_prime,
-    layer_class,
+    INF, NatInfinity, check_height, check_layer, check_point_layer, check_window,
+    delta_p, is_prime, layer_class,
 )
 from .poset import Poset, check_point_budget
 from .zariski import ZariskiPrime
@@ -49,15 +50,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BalmerPrime:
-    """A prime thick tensor-ideal: layer k, characteristic p, chromatic
-    height h >= 1 (possibly infinity).  Canonical by construction: a
-    height-1 point takes char 0, the char is kept above."""
+    """A prime thick tensor-ideal: layer k >= 1 (`check_point_layer`),
+    characteristic p, chromatic height h >= 1 (possibly infinity).
+    Canonical by construction: a height-1 point takes char 0, the char
+    is kept above."""
 
     layer: int
     char: int
     height: NatInfinity
 
     def __post_init__(self):
+        check_point_layer(self.layer)
         if self.height == 1:
             object.__setattr__(self, "char", 0)
 
@@ -142,14 +145,10 @@ def b_truncation(
             for rational, top in reachable:
                 if not b_leq(a, points[rational]):
                     continue
-                lo, hi = top, top + depth  # bisect for the first miss
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if b_leq(a, points[mid]):
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                up |= 1 << rational | (1 << lo) - (1 << top)
+                miss = top + bisect_left(
+                    range(top, top + depth), True, key=lambda j: not b_leq(a, points[j])
+                )
+                up |= 1 << rational | (1 << miss) - (1 << top)
             above[i] = up & ~(1 << i)
     return SpectrumTruncation(
         points=tuple(points),

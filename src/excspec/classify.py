@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .balmer import BalmerPrime, SpectrumTruncation
+from .balmer import SpectrumTruncation
 from .combinat import (
     INF, BudgetError, NatInfinity, check_height, check_layer, check_window, delta_p,
     layer_class,
@@ -155,26 +155,21 @@ def validate_thomason(points: frozenset, trunc: SpectrumTruncation) -> None:
 
 
 def thomason_from_function(f, trunc: SpectrumTruncation) -> frozenset:
-    """The point set cut out by a threshold function: points of height
-    strictly above the threshold of their column.  Rejects non-admissible
-    input; raises :class:`TruncationError` when the window is too small
-    to carry a faithful shadow of f."""
+    """The point set cut out by a threshold function, by the membership
+    rule of both directions: a point is in iff its height exceeds its
+    column's cut f(k, p), and zero coherence lets the rational point
+    read any prime's column.  Rejects non-admissible input; raises
+    :class:`TruncationError` when the window is too small for f."""
     if not isinstance(f, AdmissibleFunction):
         raise TypeError(f"expected an admissible function, got {type(f)!r}")
     if f.d != trunc.d or set(f.primes) != set(trunc.primes):
         raise ValueError("function scope does not match truncation")
     if not is_admissible(f):
         raise ValueError("function is not admissible")
-    members = set()
-    for pt in trunc.points:
-        if pt.height == 1:
-            # the rational point is shared by all primes; admissibility
-            # condition (b) makes the zero test prime-independent
-            if any(f.value(pt.layer, p) == 0 for p in f.primes):
-                members.add(pt)
-        elif pt.height > f.value(pt.layer, pt.char):
-            members.add(pt)
-    members = frozenset(members)
+    members = frozenset(
+        pt for pt in trunc.points
+        if pt.height > f.value(pt.layer, pt.char or f.primes[0])
+    )
     try:
         validate_thomason(members, trunc)
     except ValueError as exc:
@@ -185,31 +180,19 @@ def thomason_from_function(f, trunc: SpectrumTruncation) -> frozenset:
 
 
 def function_from_thomason(Y, trunc: SpectrumTruncation) -> AdmissibleFunction:
-    """Recover the threshold function of a valid Thomason subset:
-    one less than the minimal finite member height of each column, with
-    Hmax for a column whose only member is the height-infinity point
-    (the window boundary) and infinity for an empty column."""
+    """Recover the threshold function of a valid Thomason subset by the
+    membership rule: each member lowers its column's cut from INF to its
+    height - 1 (Hmax, the window boundary, for height infinity), and a
+    rational point in every prime's column at its layer.  So a cut is
+    the least finite member height - 1, else Hmax, else INF."""
     points = frozenset(Y)
     validate_thomason(points, trunc)
-    rows = []
-    for p in trunc.primes:
-        row = []
-        for k in range(1, trunc.d + 1):
-            finite_heights = [
-                pt.height
-                for pt in points
-                if pt.layer == k
-                and pt.height != INF
-                and (pt.height == 1 or pt.char == p)
-            ]
-            if finite_heights:
-                row.append(min(finite_heights) - 1)
-            elif trunc.include_infinity and BalmerPrime(k, p, INF) in points:
-                row.append(trunc.hmax)
-            else:
-                row.append(INF)
-        rows.append(tuple(row))
-    return AdmissibleFunction(trunc.d, trunc.primes, tuple(rows))
+    cuts = {p: [INF] * trunc.d for p in trunc.primes}
+    for pt in points:
+        cut = trunc.hmax if pt.height == INF else pt.height - 1
+        for p in (pt.char,) if pt.char else trunc.primes:
+            cuts[p][pt.layer - 1] = min(cuts[p][pt.layer - 1], cut)
+    return AdmissibleFunction(trunc.d, trunc.primes, tuple(cuts.values()))
 
 
 def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = None) -> int:
@@ -227,7 +210,9 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
     computes: for each value of each layer, a tuple of bounds on the
     later layers of its class, charged its length plus one; and for each
     state, its length times the values its first layer admits.  The
-    first is known in advance and refused before any work.
+    first is known in advance and refused before any work; its one entry
+    per value of each layer is charged ahead of the rest, so a huge d is
+    refused before any class is sized.
     """
     check_window(d, (p,))
     check_height("hmax", hmax, 0)
@@ -240,8 +225,9 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
         if work > limit:
             raise BudgetError(f"DP budget exceeded: more than {limit} entries")
 
+    spend((hmax + 2) * d)
     classes = [layer_class(p, k) for k in range(max(1, d - p + 2), d + 1)]
-    spend((hmax + 2) * sum(len(c) * (len(c) + 1) // 2 for c in classes))
+    spend((hmax + 2) * sum(len(c) * (len(c) - 1) // 2 for c in classes))
     domain = threshold_values(hmax)
     total = 1
     for layers in classes:
@@ -332,7 +318,8 @@ def enumerate_p_admissible(d: int, p: int, hmax: int):
     """
     check_window(d, (p,))
     check_height("hmax", hmax, 0)
-    if (hmax + 2) ** d > ENUM_BUDGET:
+    # as (hmax + 2)**d does, without the d-th power: 2**bit_length > budget
+    if (hmax + 2) ** min(d, ENUM_BUDGET.bit_length()) > ENUM_BUDGET:
         raise BudgetError(
             f"enumeration budget exceeded: ({hmax + 2})**{d} > {ENUM_BUDGET}"
         )

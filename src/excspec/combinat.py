@@ -41,6 +41,7 @@ __all__ = [
     "check_degree",
     "check_height",
     "check_layer",
+    "check_point_layer",
 ]
 
 MU_BRUTE_CELL_BUDGET = 20  # count every good subset only up to here
@@ -127,13 +128,21 @@ def check_degree(d) -> None:
 
 def check_layer(d, layer) -> None:
     """The one rule for a layer of the degree-d window: d passes
-    `check_degree`, and the layer is an int that is not a bool with
-    1 <= layer <= d.  Raises ValueError naming the value given."""
+    `check_degree`, the layer passes `check_point_layer`, and
+    layer <= d.  Raises ValueError naming the value given."""
     check_degree(d)
+    check_point_layer(layer)
+    if layer > d:
+        raise ValueError(f"layer {layer} out of range 1..{d}")
+
+
+def check_point_layer(layer) -> None:
+    """The layer rule without a window, checked by every point type: an
+    int that is not a bool, at least 1.  Raises ValueError naming it."""
     if type(layer) is not int:
         raise ValueError(f"need the layer to be an int (not a bool), got {layer!r}")
-    if not 1 <= layer <= d:
-        raise ValueError(f"layer {layer} out of range 1..{d}")
+    if layer < 1:
+        raise ValueError(f"layer must be >= 1, got {layer}")
 
 
 def check_height(name: str, value, floor: int, infinite: bool = False) -> None:

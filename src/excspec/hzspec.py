@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .balmer import BalmerPrime
-from .combinat import INF, check_layer, check_window, delta_p, is_prime
+from .combinat import INF, check_layer, check_point_layer, check_window, delta_p, is_prime
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -32,10 +32,13 @@ __all__ = [
 @dataclass(frozen=True, order=True)
 class HZPrime:
     """A point (layer, residue): residue 0 for the generic fibre, a
-    prime p for the mod-p fibre."""
+    prime p for the mod-p fibre.  The layer follows `check_point_layer`."""
 
     layer: int
     residue: int
+
+    def __post_init__(self):
+        check_point_layer(self.layer)
 
 
 def hz_prime(d: int, layer: int, residue: int) -> HZPrime:

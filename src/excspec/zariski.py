@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsidePresentation, RingElement
-from .combinat import check_layer, check_window, is_prime, layer_class
+from .combinat import check_layer, check_point_layer, check_window, is_prime, layer_class
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -30,15 +30,14 @@ __all__ = [
 class ZariskiPrime:
     """A prime ideal: kernel-of-reduction at `layer` and characteristic
     `char` (0 for the minimal primes).  Canonical by construction: the
-    layer, which must be at least 1, is replaced by the minimal one of
-    its gluing class."""
+    layer, which follows `check_point_layer`, is replaced by the minimal
+    one of its gluing class."""
 
     layer: int
     char: int
 
     def __post_init__(self):
-        if self.layer < 1:
-            raise ValueError(f"layer must be >= 1, got {self.layer}")
+        check_point_layer(self.layer)
         object.__setattr__(self, "layer", canonical_layer(self.layer, self.char))
 
 

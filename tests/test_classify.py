@@ -567,6 +567,12 @@ class TestCount:
         with pytest.raises(BudgetError):
             count_p_admissible(10, 2, 3)  # 1284 entries
 
+    def test_budget_refuses_more_layers_than_a_range_holds(self):
+        # a layer_class past 2**63 layers has no len(); the refusal
+        # comes before any class is sized
+        with pytest.raises(BudgetError, match="DP budget exceeded"):
+            count_p_admissible(2**63, 2, 3)
+
 
 def visible(values, p, hmax):
     """Whether a threshold vector is visible at hmax: each layer cut at

@@ -17,6 +17,13 @@ from conftest import dot_nodes_and_edges, invoke_cli, listed_vectors, tokenize_d
 from excspec import burnside, classify, cli, combinat
 
 
+def child_env(**extra) -> dict:
+    """The environment of a child process that imports this checkout's src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
+
+
 class TestMu:
     def test_single_value(self, run_cli):
         code, out, _ = run_cli(["mu", "2", "2", "3"])
@@ -317,6 +324,18 @@ class TestIdealsStreaming:
         assert sink.size > 2_500_000
         assert peak < 5_000_000
 
+    def test_huge_d_is_refused_at_once(self):
+        # the refusal must not compute the 30,000,000th power of 5
+        env = child_env()
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "excspec.cli", "ideals", "30000000", "2", "3", "--list"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert time.perf_counter() - start < 5
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: enumeration budget exceeded: (5)**30000000 > 10000000\n"
+
 
 class TestInputValidation:
     @pytest.mark.parametrize(
@@ -343,6 +362,7 @@ class TestInputValidation:
             ["ring", "3", "--cokernel", "--seed", "1"],
             ["ring", "3", "--cokernel", "--trials", "5"],
             ["ring", "3", "--check", "--trials", "-4"],
+            ["ideals", str(2**63), "2", "3", "--count"],
         ],
     )
     def test_out_of_scope_window_is_usage_error(self, run_cli, argv):
@@ -388,10 +408,7 @@ class TestInputValidation:
         """1200 points, the whole budget, in a cold process: the covers
         must come out in seconds, not hang."""
         argv = ["spec", "balmer", "-d", "600", "-p", "2", "-H", "2", "--no-inf", "--text"]
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )}
+        env = child_env()
         done = subprocess.run(
             [sys.executable, "-m", "excspec.cli", *argv],
             capture_output=True, text=True, env=env, timeout=120,
@@ -445,10 +462,7 @@ class TestSurveyScript:
         ids=["negative-hmax", "over-budget"],
     )
     def test_bad_window_exits_2_without_traceback(self, argv, message):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])
-        )}
+        env = child_env()
         done = subprocess.run(
             [sys.executable, str(self.SCRIPT), *argv],
             capture_output=True, text=True, env=env, timeout=120,
@@ -469,6 +483,25 @@ class TestSurveyScript:
         assert out.splitlines() == ["p,k,l,delta", "2,1,1,0", "", "d,p,hmax,count", "1,2,3,5"]
 
 
+class TestGalleryScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "spectrum_gallery.py"
+
+    @pytest.mark.parametrize(
+        "out", ["file/sub", "balmer"], ids=["directory-under-a-file", "dot-file-is-a-directory"]
+    )
+    def test_unwritable_output_exits_2_without_traceback(self, tmp_path, out):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "balmer" / "balmer_d3.dot").mkdir(parents=True)
+        env = child_env()
+        done = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--out", str(tmp_path / out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: cannot write")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("command, lines", [
     (["-m", "excspec.cli", "ideals", "8", "3", "4", "--list"], 1),
     (["scripts/blueshift_survey.py", "--kmax", "100"], 1),
@@ -479,9 +512,7 @@ def test_reader_closing_early_is_a_clean_exit(command, lines, tmp_path):
     writers have far more than the 64 KiB pipe buffer to write), and the
     writer exits 0, silently."""
     root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
-    )}
+    env = child_env()
     proc = subprocess.Popen(
         [sys.executable, *(arg.format(tmp=tmp_path) for arg in command)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root,
@@ -546,12 +577,9 @@ class TestDeterminismAndValidity:
         ],
     )
     def test_byte_identical_across_hash_seeds(self, argv):
-        src = Path(__file__).resolve().parents[1] / "src"
         outputs = []
         for seed in ("0", "1"):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
-                filter(None, [str(src), os.environ.get("PYTHONPATH")])
-            )}
+            env = child_env(PYTHONHASHSEED=seed)
             done = subprocess.run(
                 [sys.executable, "-m", "excspec.cli", *argv],
                 capture_output=True, text=True, env=env, timeout=120,
@@ -688,6 +716,7 @@ ARGV = st.one_of(
 @example(["spec", "hz", "-d", "600", "-p", "2,3,5", "--text"])
 @example(["spec", "zariski", "-d", "100000", "-p", "2"])
 @example(["spec", "balmer", "-d", "1", "-p", "2", "-H", "1000000000"])
+@example(["ideals", str(2**63), "2", "3", "--count"])
 def test_exit_code_contract(argv):
     """Every argv exits 0, 1 or 2 without a traceback (any exception but
     SystemExit propagates out of invoke_cli), with repeatable stdout."""

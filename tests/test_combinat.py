@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excspec.balmer import (
+    BalmerPrime,
     b_truncation,
     balmer_prime,
     generator_support,
@@ -45,7 +46,7 @@ from excspec.combinat import (
 )
 from excspec.burnside import cokernel_invariants, ghost_is_hom_check, present, ring_check
 from excspec.hzspec import HZPrime, hz_admissible_subset, hz_leq, hz_poset, hz_prime
-from excspec.zariski import z_poset, zariski_prime
+from excspec.zariski import ZariskiPrime, z_poset, zariski_prime
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -415,6 +416,16 @@ LAYER_TAKERS = {
 }
 
 
+# Each point type built raw, with no window, as a function of its layer.
+RAW_POINTS = {
+    "BalmerPrime": lambda layer: BalmerPrime(layer, 2, 2),
+    "BalmerPrime_rational": lambda layer: BalmerPrime(layer, 0, 1),
+    "ZariskiPrime": lambda layer: ZariskiPrime(layer, 2),
+    "ZariskiPrime_char0": lambda layer: ZariskiPrime(layer, 0),
+    "HZPrime": lambda layer: HZPrime(layer, 2),
+}
+
+
 class TestLayerRule:
     @pytest.mark.parametrize("take", LAYER_TAKERS.values(), ids=LAYER_TAKERS.keys())
     @pytest.mark.parametrize(
@@ -425,6 +436,15 @@ class TestLayerRule:
     def test_refuses_a_layer_outside_the_window(self, take, d, layer):
         with pytest.raises(ValueError):
             take(d, layer)
+
+    @pytest.mark.parametrize("make", RAW_POINTS.values(), ids=RAW_POINTS.keys())
+    @pytest.mark.parametrize(
+        "layer", [1.5, True, 0, -1], ids=["fractional", "bool", "zero", "negative"]
+    )
+    def test_raw_point_refuses_a_layer_that_is_not_an_int_from_one(self, make, layer):
+        # the part of the rule that needs no window
+        with pytest.raises(ValueError):
+            make(layer)
 
 
 class TestConcurrentCaches:

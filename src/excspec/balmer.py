@@ -26,8 +26,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .combinat import (
-    INF, NatInfinity, check_height, check_layer, check_point_layer, check_window,
-    delta_p, is_prime, layer_class,
+    INF, NatInfinity, check_height, check_layer, check_prime, check_window,
+    delta_p, layer_class,
 )
 from .poset import Poset, check_point_budget
 from .zariski import ZariskiPrime
@@ -50,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BalmerPrime:
-    """A prime thick tensor-ideal: layer k >= 1 (`check_point_layer`),
+    """A prime thick tensor-ideal: layer k, an int >= 1 (`check_height`),
     characteristic p, chromatic height h >= 1 (possibly infinity).
     Canonical by construction: a height-1 point takes char 0, the char
     is kept above."""
@@ -60,18 +60,18 @@ class BalmerPrime:
     height: NatInfinity
 
     def __post_init__(self):
-        check_point_layer(self.layer)
+        check_height("layer", self.layer, 1)
         if self.height == 1:
             object.__setattr__(self, "char", 0)
 
 
 def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPrime:
     """Validated point for the degree-d window: the height is an int
-    >= 1 (not a bool) or INF."""
+    >= 1 (not a bool) or INF, and the char is prime, or 0 at height 1."""
     check_layer(d, layer)
     check_height("height", height, 1, infinite=True)
-    if not (is_prime(char) or char == 0 and height == 1):
-        raise ValueError(f"char must be prime, or 0 at height 1, got {char}")
+    if not (char == 0 and height == 1):
+        check_prime("char", char)
     return BalmerPrime(layer, char, height)
 
 
@@ -171,18 +171,16 @@ def tate_blueshift(p: int, k: int, l: int, h: int) -> NatInfinity:
     """Height drop of the layer-l derivative of the layer-k Tate
     construction applied at input height h: a shift of exactly 1 when a
     p-power partition of k of length l exists with k > l, and total
-    collapse (value h) otherwise."""
-    if k < l or l < 1:
-        raise ValueError("tate_blueshift requires k >= l >= 1")
+    collapse (value h) otherwise.  `delta_p` checks p and k >= l >= 1."""
+    delta = delta_p(p, k, l)
     check_height("h", h, 1)
-    return 1 if delta_p(p, k, l) == 1 else h
+    return 1 if delta == 1 else h
 
 
 def geometric_blueshift(p: int, k: int, l: int) -> NatInfinity:
     """Minimal height gap for containment between layer-k and layer-l
-    points; independent of the ambient height.  Requires p-1 | k-l >= 0."""
-    if k < l or l < 1:
-        raise ValueError("geometric_blueshift requires k >= l >= 1")
+    points; independent of the ambient height.  Requires p-1 | k-l >= 0;
+    `delta_p` checks p and k >= l >= 1."""
     delta = delta_p(p, k, l)
     if delta == INF:
         raise ValueError(
@@ -213,8 +211,7 @@ def open_embedding_check(
     `b_truncation` lists its points layer by layer, so the check is a
     prefix test: the degree-m points and up-sets begin the degree-d
     ones, and every later point has layer above m."""
-    if not 1 <= m <= d:
-        raise ValueError("need 1 <= m <= d")
+    check_layer(d, m, "m")
     small = b_truncation(m, primes, hmax, include_infinity)
     big = b_truncation(d, primes, hmax, include_infinity)
     n = len(small.points)

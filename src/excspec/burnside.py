@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain, product
 from operator import mul
 
-from .combinat import BudgetError, check_degree, check_height, mu_row, surjections
+from .combinat import BudgetError, check_height, check_layer, mu_row, surjections
 
 __all__ = [
     "RingElement",
@@ -104,8 +104,7 @@ class BurnsidePresentation:
     # -- elements ----------------------------------------------------------
 
     def basis(self, i: int) -> RingElement:
-        if not 1 <= i <= self.d:
-            raise ValueError(f"basis index {i} out of range 1..{self.d}")
+        check_layer(self.d, i, "i")
         return RingElement(tuple(1 if j == i else 0 for j in range(1, self.d + 1)))
 
     def one(self) -> RingElement:
@@ -117,8 +116,8 @@ class BurnsidePresentation:
     def full_product(self, i: int, j: int) -> dict[int, int]:
         """Untruncated basis product: all of mu(i, j, l) for
         max(i,j) <= l <= i*j, ignoring the degree-d window."""
-        if not (1 <= i <= self.d and 1 <= j <= self.d):
-            raise ValueError("basis index out of range")
+        check_layer(self.d, i, "i")
+        check_layer(self.d, j, "j")
         lo = max(i, j)
         return dict(zip(range(lo, i * j + 1), mu_row(i, j, lo, i * j)))
 
@@ -161,7 +160,7 @@ def _ghost_matrix(d: int) -> tuple[tuple[int, ...], ...]:
     apart from the structure constants; the rank check is here, for the
     presentation and the cokernel alike.  Cached by type as well as
     value, so that a bool or a float d reaches the check."""
-    check_degree(d)
+    check_height("d", d, 1)
     if d > PRESENT_MAX_D:
         raise BudgetError(f"presentation budget exceeded: d = {d} > {PRESENT_MAX_D}")
     return tuple(

@@ -256,13 +256,28 @@ def write_ideal_rows(rows, hmax: int, fmt: str) -> None:
     write(end)
 
 
+def _int_text(n: int) -> str:
+    """Decimal text of n at any length.  The interpreter's guard on
+    int -> str (4300 digits, where it exists) is lifted for this one
+    conversion and restored before anything is printed, so argv parsing
+    and an in-process caller keep it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_ideals(args) -> int:
     _check_mode_flags(args)
     if args.mode == "list":
         _, rows = classify.enumerate_p_admissible(args.d, args.p, args.hmax)
         write_ideal_rows(rows, args.hmax, args.format)
         return 0
-    count = classify.count_p_admissible(args.d, args.p, args.hmax)
+    count = _int_text(classify.count_p_admissible(args.d, args.p, args.hmax))
     if args.format == "csv":
         print("d,p,hmax,count")
         print(f"{args.d},{args.p},{args.hmax},{count}")

@@ -38,10 +38,9 @@ __all__ = [
     "shortest_ppp_chain",
     "is_prime",
     "check_window",
-    "check_degree",
     "check_height",
     "check_layer",
-    "check_point_layer",
+    "check_prime",
 ]
 
 MU_BRUTE_CELL_BUDGET = 20  # count every good subset only up to here
@@ -98,57 +97,42 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+def check_prime(name: str, value) -> None:
+    """The one rule for a prime argument: an int that is not a bool, and
+    prime.  Raises ValueError naming the value given."""
+    if type(value) is not int or not is_prime(value):
+        raise ValueError(f"{name} must be prime, got {value!r}")
 
 
 def check_window(d: int, primes: Iterable[int]) -> tuple[int, ...]:
-    """Validated scope of a degree-d window: d >= 1 and a non-empty set
-    of genuine primes, returned sorted and without repeats.  Every
-    constructor of a window-shaped object checks its input here."""
-    check_degree(d)
-    prime_tuple = tuple(sorted(set(primes)))
-    if not prime_tuple:
+    """Validated scope of a degree-d window: d passes `check_height`
+    with floor 1, and the primes are non-empty and each pass
+    `check_prime` (a repeat too, so 3.0 beside 3 is refused); returned
+    sorted and without repeats.  Every constructor of a window-shaped
+    object checks its input here."""
+    check_height("d", d, 1)
+    prime_list = sorted(primes)
+    if not prime_list:
         raise ValueError("prime set must be non-empty")
-    for p in prime_tuple:
-        if not is_prime(p):
-            raise ValueError(f"not a prime: {p}")
-    return prime_tuple
+    for p in prime_list:
+        check_prime("p", p)
+    return tuple(dict.fromkeys(prime_list))
 
 
-def check_degree(d) -> None:
-    """The one rule for the degree d of a window: an int that is not a
-    bool, and at least 1.  Raises ValueError naming the value given."""
-    if type(d) is not int:
-        raise ValueError(f"need d to be an int (not a bool), got d = {d!r}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d = {d}")
-
-
-def check_layer(d, layer) -> None:
-    """The one rule for a layer of the degree-d window: d passes
-    `check_degree`, the layer passes `check_point_layer`, and
+def check_layer(d, layer, name: str = "layer") -> None:
+    """The one rule for a layer, or a basis index, of the degree-d
+    window: d and the layer each pass `check_height` with floor 1, and
     layer <= d.  Raises ValueError naming the value given."""
-    check_degree(d)
-    check_point_layer(layer)
+    check_height("d", d, 1)
+    check_height(name, layer, 1)
     if layer > d:
-        raise ValueError(f"layer {layer} out of range 1..{d}")
-
-
-def check_point_layer(layer) -> None:
-    """The layer rule without a window, checked by every point type: an
-    int that is not a bool, at least 1.  Raises ValueError naming it."""
-    if type(layer) is not int:
-        raise ValueError(f"need the layer to be an int (not a bool), got {layer!r}")
-    if layer < 1:
-        raise ValueError(f"layer must be >= 1, got {layer}")
+        raise ValueError(f"{name} {layer} out of range 1..{d}")
 
 
 def check_height(name: str, value, floor: int, infinite: bool = False) -> None:
-    """The one rule for a height-like argument: an int that is not a
-    bool and is at least floor, or INF where the height may be
-    infinite.  Raises ValueError naming the value given."""
+    """The one rule for an int argument: an int that is not a bool and
+    is at least floor, or INF where the value may be infinite (a
+    height).  Raises ValueError naming the value given."""
     if infinite and value == INF:
         return
     if type(value) is not int or value < floor:
@@ -202,15 +186,17 @@ def stirling1(n: int, k: int) -> int:
     return _stirling1_row(n)[k]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def surjections(i: int, j: int) -> int:
     """Number of surjections from an i-set onto a j-set.
 
     Inclusion-exclusion: j^i + sum_{s=1}^{j-1} (-1)^s C(j,s) (j-s)^i.
     Returns 0 when j > i (no error: the vanishing is meaningful).
+    Cached by type as well as value, so that 2.0 reaches the check
+    after 2 has filled the cache.
     """
-    if i < 1 or j < 1:
-        raise ValueError("surjections requires i, j >= 1")
+    check_height("i", i, 1)
+    check_height("j", j, 1)
     total = j**i
     for s in range(1, j):
         total += (-1) ** s * math.comb(j, s) * (j - s) ** i
@@ -254,8 +240,8 @@ def mu_brute(i: int, j: int, k: int) -> int:
     """Count size-k subsets of the i x j grid projecting onto both
     factors, by counting every subset row by row.  Oracle method;
     requires i*j <= MU_BRUTE_CELL_BUDGET."""
-    if i < 1 or j < 1 or k < 1:
-        raise ValueError("mu_brute requires i, j, k >= 1")
+    for name, value in (("i", i), ("j", j), ("k", k)):
+        check_height(name, value, 1)
     if i * j > MU_BRUTE_CELL_BUDGET:
         raise BudgetError(
             f"mu_brute budget exceeded: i*j = {i * j} > {MU_BRUTE_CELL_BUDGET}"
@@ -270,8 +256,8 @@ def mu_incl_excl(i: int, j: int, k: int) -> int:
     Zero at once outside max(i,j) <= k <= i*j, where no good subset
     exists; within it, refused past i*j = MU_INCL_EXCL_CELL_BUDGET.
     """
-    if i < 1 or j < 1 or k < 1:
-        raise ValueError("mu_incl_excl requires i, j, k >= 1")
+    for name, value in (("i", i), ("j", j), ("k", k)):
+        check_height(name, value, 1)
     if not max(i, j) <= k <= i * j:
         return 0
     if i * j > MU_INCL_EXCL_CELL_BUDGET:
@@ -314,8 +300,8 @@ def mu_stirling(i: int, j: int, k: int) -> int:
     exact; a non-integral result signals an implementation bug.  Refused
     past k = MU_STIRLING_K_BUDGET.
     """
-    if i < 1 or j < 1 or k < 1:
-        raise ValueError("mu_stirling requires i, j, k >= 1")
+    for name, value in (("i", i), ("j", j), ("k", k)):
+        check_height(name, value, 1)
     lo = max(i, j)
     if k < lo:
         return 0
@@ -339,13 +325,17 @@ def mu_stirling(i: int, j: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def digit_sum(k: int, p: int) -> int:
-    """Sum of the base-p digits of k.  Cached, since delta_p reads it for
-    every comparison of a spectrum build."""
-    if k < 1:
-        raise ValueError("digit_sum requires k >= 1")
-    _require_prime(p)
+    """Sum of the base-p digits of k."""
+    check_height("k", k, 1)
+    check_prime("p", p)
+    return _digit_sum(k, p)
+
+
+@lru_cache(maxsize=None)
+def _digit_sum(k: int, p: int) -> int:
+    """`digit_sum` of checked arguments.  Cached, since delta_p reads it
+    for every comparison of a spectrum build."""
     total = 0
     while k:
         k, digit = divmod(k, p)
@@ -357,9 +347,9 @@ def ppp_exists(p: int, k: int, l: int) -> bool:
     """Whether k can be written as a sum of exactly l powers of p
     (p**0 = 1 allowed): true iff p-1 divides k-l >= 0 and l >= s_p(k),
     that is, iff k >= l and delta_p(k, l) <= 1."""
-    if k < 1 or l < 1:
-        raise ValueError("ppp_exists requires k, l >= 1")
-    _require_prime(p)
+    check_height("k", k, 1)
+    check_height("l", l, 1)
+    check_prime("p", p)
     return k >= l and delta_p(p, k, l) <= 1
 
 
@@ -367,9 +357,9 @@ def ppp_enumerate(p: int, k: int, l: int) -> list[tuple[int, ...]]:
     """All multisets of l powers of p summing to k, each as the tuple of
     its parts in descending order: the recursion over descending
     exponents builds them that way.  Oracle for :func:`ppp_exists`."""
-    if k < 1 or l < 1:
-        raise ValueError("ppp_enumerate requires k, l >= 1")
-    _require_prime(p)
+    check_height("k", k, 1)
+    check_height("l", l, 1)
+    check_prime("p", p)
     if k > PARTITION_BUDGET:
         raise BudgetError(
             f"ppp_enumerate budget exceeded: k = {k} > {PARTITION_BUDGET}"
@@ -410,17 +400,18 @@ def delta_p(p: int, k: int, l: int) -> NatInfinity:
 
     Closed form: 0 if k = l; 1 if p-1 | k-l > 0 and l >= s_p(k);
     2 if p-1 | k-l > 0 and l < s_p(k); infinity otherwise.
+    The first test passes every valid call at once; the rules run, and
+    raise, only when it fails.
     """
-    if l < 1:
-        raise ValueError("delta_p requires l >= 1")
-    if k < l:
-        raise ValueError(f"delta_p requires k >= l, got k={k} < l={l}")
-    _require_prime(p)
+    if not (type(p) is type(k) is type(l) is int and 1 <= l <= k and is_prime(p)):
+        check_height("l", l, 1)
+        check_height("k", k, l)
+        check_prime("p", p)
     if k == l:
         return 0
-    if (k - l) % (p - 1) != 0:
+    if (k - l) % (p - 1):
         return INF
-    return 1 if l >= digit_sum(k, p) else 2
+    return 1 if l >= _digit_sum(k, p) else 2
 
 
 def layer_class(p: int, k: int) -> range:
@@ -443,9 +434,9 @@ def shortest_ppp_chain(p: int, k: int, l: int) -> list[int] | None:
     search on the graph over {l, ..., k} with an edge a -> b whenever
     a > b and :func:`ppp_enumerate` finds a partition of a into b powers
     of p.  Oracle for :func:`delta_p` through :func:`delta_p_brute`."""
-    if k < l or l < 1:
-        raise ValueError("shortest_ppp_chain requires k >= l >= 1")
-    _require_prime(p)
+    check_height("l", l, 1)
+    check_height("k", k, l)
+    check_prime("p", p)
     if k > PARTITION_BUDGET:
         raise BudgetError(
             f"shortest_ppp_chain budget exceeded: k = {k} > {PARTITION_BUDGET}"

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .balmer import BalmerPrime
-from .combinat import INF, check_layer, check_point_layer, check_window, delta_p, is_prime
+from .combinat import INF, check_height, check_layer, check_prime, check_window, delta_p
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -32,19 +32,20 @@ __all__ = [
 @dataclass(frozen=True, order=True)
 class HZPrime:
     """A point (layer, residue): residue 0 for the generic fibre, a
-    prime p for the mod-p fibre.  The layer follows `check_point_layer`."""
+    prime p for the mod-p fibre.  The layer is an int >= 1
+    (`check_height`)."""
 
     layer: int
     residue: int
 
     def __post_init__(self):
-        check_point_layer(self.layer)
+        check_height("layer", self.layer, 1)
 
 
 def hz_prime(d: int, layer: int, residue: int) -> HZPrime:
     check_layer(d, layer)
-    if residue != 0 and not is_prime(residue):
-        raise ValueError(f"residue must be 0 or prime, got {residue}")
+    if residue != 0:
+        check_prime("residue", residue)
     return HZPrime(layer, residue)
 
 

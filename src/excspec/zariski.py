@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsidePresentation, RingElement
-from .combinat import check_layer, check_point_layer, check_window, is_prime, layer_class
+from .combinat import check_height, check_layer, check_prime, check_window, layer_class
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -30,14 +30,14 @@ __all__ = [
 class ZariskiPrime:
     """A prime ideal: kernel-of-reduction at `layer` and characteristic
     `char` (0 for the minimal primes).  Canonical by construction: the
-    layer, which follows `check_point_layer`, is replaced by the minimal
+    layer, an int >= 1 (`check_height`), is replaced by the minimal
     one of its gluing class."""
 
     layer: int
     char: int
 
     def __post_init__(self):
-        check_point_layer(self.layer)
+        check_height("layer", self.layer, 1)
         object.__setattr__(self, "layer", canonical_layer(self.layer, self.char))
 
 
@@ -50,8 +50,8 @@ def canonical_layer(layer: int, char: int) -> int:
 def zariski_prime(d: int, layer: int, char: int) -> ZariskiPrime:
     """Validated point of the rank-d spectrum."""
     check_layer(d, layer)
-    if char != 0 and not is_prime(char):
-        raise ValueError(f"char must be 0 or prime, got {char}")
+    if char != 0:
+        check_prime("char", char)
     return ZariskiPrime(layer, char)
 
 
@@ -69,12 +69,11 @@ def z_membership(
 ) -> bool:
     """Whether element a lies in the prime q: the ghost component at the
     stored layer vanishes identically (char 0) or mod p (char p).  A
-    point whose canonical layer exceeds d raises ValueError; a glued
-    spelling past d answers as its canonical point."""
+    point whose canonical layer fails `check_layer` for d raises
+    ValueError; a glued spelling past d answers as its canonical point."""
     if a.dim != pres.d:
         raise ValueError("element dimension does not match presentation")
-    if q.layer > pres.d:
-        raise ValueError("prime layer out of range for presentation")
+    check_layer(pres.d, q.layer)
     value = pres.ghost(a)[q.layer - 1]
     return value == 0 if q.char == 0 else value % q.char == 0
 

@@ -337,6 +337,37 @@ class TestIdealsStreaming:
         assert done.stderr == "error: enumeration budget exceeded: (5)**30000000 > 10000000\n"
 
 
+def decimal(n: int) -> str:
+    """str(n) in chunks of 1000 digits, each under the interpreter's
+    4300-digit guard on int -> str."""
+    chunks = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+class TestCountPastTheIntTextGuard:
+    # for p > d every vector is admissible: (hmax + 2)**d of them
+    def test_count(self, run_cli):
+        guard = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert run_cli(["ideals", "7000", "7001", "3", "--count"]) == (
+            0, decimal(5**7000) + "\n", ""
+        )
+        # the guard is back for the rest of the process
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == guard
+
+    def test_csv(self, run_cli):
+        assert run_cli(["ideals", "7000", "7001", "3", "--count", "--csv"]) == (
+            0, f"d,p,hmax,count\n7000,7001,3,{decimal(5**7000)}\n", ""
+        )
+
+    def test_argv_parsing_stays_guarded(self, run_cli):
+        run_cli(["ideals", "7000", "7001", "3", "--count"])
+        code, out, _ = run_cli(["ideals", "1" * 5000, "2", "1", "--count"])
+        assert (code, out) == (2, "")
+
+
 class TestInputValidation:
     @pytest.mark.parametrize(
         "argv",
@@ -717,6 +748,7 @@ ARGV = st.one_of(
 @example(["spec", "zariski", "-d", "100000", "-p", "2"])
 @example(["spec", "balmer", "-d", "1", "-p", "2", "-H", "1000000000"])
 @example(["ideals", str(2**63), "2", "3", "--count"])
+@example(["ideals", "7000", "7001", "3", "--count"])
 def test_exit_code_contract(argv):
     """Every argv exits 0, 1 or 2 without a traceback (any exception but
     SystemExit propagates out of invoke_cli), with repeatable stdout."""

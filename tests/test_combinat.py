@@ -13,6 +13,7 @@ from excspec.balmer import (
     balmer_prime,
     generator_support,
     geometric_blueshift,
+    open_embedding_check,
     smith_holds,
     smith_points,
     tate_blueshift,
@@ -26,6 +27,8 @@ from excspec.combinat import (
     MU_STIRLING_K_BUDGET,
     BudgetError,
     binomial,
+    check_layer,
+    check_prime,
     check_window,
     delta_p,
     delta_p_brute,
@@ -119,7 +122,7 @@ def test_one_degree_rule_at_every_entry_point(entry, d):
     # an int that is not a bool, at least 1; present(1) being cached
     # does not let present(True) through
     present(1)
-    with pytest.raises(ValueError, match="^need d"):
+    with pytest.raises(ValueError, match="^d must be an int >= 1"):
         DEGREE_ENTRY_POINTS[entry](d)
     DEGREE_ENTRY_POINTS[entry](2)
 
@@ -617,3 +620,158 @@ def test_non_prime_p_is_rejected(name, p):
     any layer arithmetic mod p-1 (which divides by zero at p = 1)."""
     with pytest.raises(ValueError):
         PRIME_TAKERS[name](p)
+
+
+# One int rule for every int argument: each entry point as a function of
+# (name of the argument, value), the other arguments valid.
+def _with(call, names, valid):
+    return lambda name, value: call(*(value if n == name else v for n, v in zip(names, valid)))
+
+
+INT_TAKERS = {
+    "surjections": (_with(surjections, "ij", (3, 2)), "ij"),
+    "mu_brute": (_with(mu_brute, "ijk", (2, 2, 3)), "ijk"),
+    "mu_incl_excl": (_with(mu_incl_excl, "ijk", (2, 2, 3)), "ijk"),
+    "mu_stirling": (_with(mu_stirling, "ijk", (2, 2, 3)), "ijk"),
+    "digit_sum": (_with(digit_sum, "kp", (5, 2)), "k"),
+    "ppp_exists": (_with(ppp_exists, "pkl", (2, 3, 2)), "kl"),
+    "ppp_enumerate": (_with(ppp_enumerate, "pkl", (2, 3, 2)), "kl"),
+    "delta_p": (_with(delta_p, "pkl", (2, 3, 1)), "kl"),
+    "shortest_ppp_chain": (_with(shortest_ppp_chain, "pkl", (2, 3, 1)), "kl"),
+    "tate_blueshift": (_with(tate_blueshift, "pklh", (2, 3, 1, 2)), "klh"),
+    "geometric_blueshift": (_with(geometric_blueshift, "pkl", (2, 3, 1)), "kl"),
+    "open_embedding_check": (
+        _with(open_embedding_check, ("m", "d", "primes", "hmax"), (1, 2, [2], 2)),
+        ("m", "d", "hmax"),
+    ),
+    "basis": (_with(lambda i: present(3).basis(i), "i", (2,)), "i"),
+    "full_product": (_with(lambda i, j: present(3).full_product(i, j), "ij", (2, 3)), "ij"),
+    "check_layer": (_with(check_layer, ("d", "layer"), (3, 2)), ("d", "layer")),
+    "balmer_prime": (
+        _with(balmer_prime, ("d", "layer", "char", "height"), (3, 2, 2, 2)),
+        ("d", "layer", "height"),
+    ),
+    "zariski_prime": (_with(zariski_prime, ("d", "layer", "char"), (3, 2, 2)), ("d", "layer")),
+    "hz_prime": (_with(hz_prime, ("d", "layer", "residue"), (3, 2, 2)), ("d", "layer")),
+    "BalmerPrime": (_with(BalmerPrime, ("layer", "char", "height"), (2, 2, 2)), ("layer",)),
+    "ZariskiPrime": (_with(ZariskiPrime, ("layer", "char"), (2, 2)), ("layer",)),
+    "HZPrime": (_with(HZPrime, ("layer", "residue"), (2, 2)), ("layer",)),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, "2", 0, -1])
+@pytest.mark.parametrize(
+    "entry, name",
+    [(entry, name) for entry, (_, names) in INT_TAKERS.items() for name in names],
+)
+def test_one_int_rule_at_every_entry_point(entry, name, value):
+    """An int that is not a bool, at least 1 (at least l for a k paired
+    with l); the message starts with the argument's name.  The valid
+    call runs first, so a cache keyed by value (2.0 == 2) cannot let the
+    invalid one through."""
+    call, _ = INT_TAKERS[entry]
+    call(None, None)
+    with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
+        call(name, value)
+
+
+def test_k_below_l_names_the_bound():
+    for call in (delta_p, shortest_ppp_chain, geometric_blueshift):
+        with pytest.raises(ValueError, match=r"^k must be an int >= 5, got 3$"):
+            call(2, 3, 5)
+
+
+def test_mu_brute_refuses_a_float_after_its_int_filled_the_cache():
+    assert mu_brute(2, 2, 3) == 4
+    with pytest.raises(ValueError, match="^i must be an int >= 1, got 2.0$"):
+        mu_brute(2.0, 2, 3)
+
+
+# Each entry point taking a prime, as a function of that prime.
+STRICT_PRIME_TAKERS = {
+    "check_prime": lambda p: check_prime("p", p),
+    "check_window": lambda p: check_window(3, [p]),
+    "check_window_with_a_prime": lambda p: check_window(3, [3, p]),
+    "delta_p": lambda p: delta_p(p, 3, 1),
+    "digit_sum": lambda p: digit_sum(5, p),
+    "b_truncation": lambda p: b_truncation(2, [p], 2),
+    "balmer_prime": lambda p: balmer_prime(3, 2, p, 2),
+    "zariski_prime": lambda p: zariski_prime(3, 1, p),
+    "hz_prime": lambda p: hz_prime(3, 1, p),
+}
+
+
+@pytest.mark.parametrize("p", [2.0, True, 4, 3.0])
+@pytest.mark.parametrize("take", STRICT_PRIME_TAKERS.values(), ids=STRICT_PRIME_TAKERS.keys())
+def test_a_prime_is_an_int(take, p):
+    take(2)
+    take(3)
+    with pytest.raises(ValueError, match=rf"^(p|char|residue) must be prime, got {p!r}$"):
+        take(p)
+
+
+# The only functions of the package allowed to test an argument against
+# a bound of 0 or 1 and raise ValueError: the argument rules themselves.
+ARGUMENT_RULES = {"check_height", "check_layer", "check_window", "check_prime"}
+
+
+def _bound_guards(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function, line) of each `if` that compares with the int 0 or 1
+    by <, <=, > or >= and raises ValueError in its body."""
+
+    def bound(node):
+        return (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+            and any(
+                isinstance(side, ast.Constant) and type(side.value) is int and side.value in (0, 1)
+                for side in (node.left, *node.comparators)
+            )
+        )
+
+    def raises_value_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.If)
+                and any(bound(n) for n in ast.walk(node.test))
+                and any(
+                    isinstance(n, ast.Raise) and raises_value_error(n)
+                    for stmt in node.body
+                    for n in ast.walk(stmt)
+                )
+            ):
+                found.add((fn.name, node.lineno))
+    return sorted(found)
+
+
+def test_no_hand_written_bound_outside_the_argument_rules():
+    """Every entry point reads check_height, check_layer, check_window or
+    check_prime, so no other function restates a bound of 0 or 1."""
+    root = Path(__file__).resolve().parents[1]
+    offenders = [
+        f"{path.relative_to(root)}:{line} ({name})"
+        for path in sorted((root / "src" / "excspec").rglob("*.py"))
+        for name, line in _bound_guards(ast.parse(path.read_text()))
+        if name not in ARGUMENT_RULES
+    ]
+    assert offenders == []
+
+
+def test_the_bound_fence_sees_a_hand_written_guard():
+    tree = ast.parse(
+        "def f(i, j):\n"
+        "    if not 1 <= i <= j:\n"
+        "        raise ValueError('need 1 <= i <= j')\n"
+        "    if j > 0:\n"
+        "        return i\n"
+        "    if i < True:\n"
+        "        raise ValueError('a bool is not the int 1')\n"
+    )
+    assert _bound_guards(tree) == [("f", 2)]

@@ -170,5 +170,5 @@ class TestPoset:
 
     def test_checks_the_window_before_the_residue(self):
         for d, primes in ((0, [2]), (3, [4]), (3, [])):
-            with pytest.raises(ValueError, match="^(need d|not a prime|prime set)"):
+            with pytest.raises(ValueError, match="^(d must be an int >= 1|p must be prime|prime set)"):
                 hz_poset(d, primes, 7)

@@ -48,7 +48,7 @@ class TestEquality:
 
     @pytest.mark.parametrize("layer, char", [(0, 2), (0, 0), (-1, 5), (-3, 0)])
     def test_rejects_a_layer_below_one(self, layer, char):
-        with pytest.raises(ValueError, match="layer must be >= 1"):
+        with pytest.raises(ValueError, match="^layer must be an int >= 1"):
             ZariskiPrime(layer, char)
 
     def test_rejects_bad_input(self):

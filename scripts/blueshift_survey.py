@@ -8,11 +8,10 @@ partitions the (k, l) plane.
 """
 
 import argparse
-import os
-import sys
 
+from excspec import cli
 from excspec.classify import count_p_admissible
-from excspec.combinat import BudgetError, check_window, delta_p
+from excspec.combinat import check_height, check_window, delta_p
 
 
 def main() -> int:
@@ -29,9 +28,8 @@ def main() -> int:
     except ValueError as exc:
         parser.error(f"bad --primes {args.primes!r}: {exc}")
 
-    try:
-        if args.hmax < 0:  # refused before the first row, as cli.main does
-            raise ValueError(f"need hmax >= 0, got {args.hmax}")
+    def tables() -> int:
+        check_height("hmax", args.hmax, 0)  # refused before the first row
         print("p,k,l,delta")
         for p in primes:
             for k in range(1, args.kmax + 1):
@@ -44,14 +42,9 @@ def main() -> int:
         for p in primes:
             for d in range(1, args.dmax + 1):
                 print(f"{d},{p},{args.hmax},{count_p_admissible(d, p, args.hmax)}")
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
-    except (BudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # The reader took what it wanted; the final flush goes nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
+        return 0
+
+    return cli.guarded(tables)
 
 
 if __name__ == "__main__":

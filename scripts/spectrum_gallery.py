@@ -10,9 +10,7 @@ and the integral-coefficient spectrum.  Render with e.g.
 import argparse
 import contextlib
 import io
-import os
 import pathlib
-import sys
 
 from excspec import cli
 
@@ -43,16 +41,14 @@ def main() -> int:
             path.write_text(buffer.getvalue())
             report.append(f"wrote {path}")
     except OSError as exc:
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
-    try:
-        for line in report:
-            print(line)
-        sys.stdout.flush()  # a closed pipe fails here, not at exit
-    except BrokenPipeError:
-        # The reader took what it wanted; the final flush goes nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return code
+        parser.exit(2, f"error: cannot write {exc.filename}: {exc.strerror}\n")
+
+    def print_report() -> int:
+        print("\n".join(report))
+        return code
+
+    # a closed pipe is exit 0 to guarded; a failed diagram's code still stands
+    return cli.guarded(print_report) or code
 
 
 if __name__ == "__main__":

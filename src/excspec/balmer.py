@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .combinat import (
-    INF, NatInfinity, check_height, check_layer, check_prime, check_window,
+    INF, NatInfinity, check_char, check_height, check_layer, check_prime, check_window,
     delta_p, layer_class,
 )
 from .poset import Poset, check_point_budget
@@ -67,10 +67,12 @@ class BalmerPrime:
 
 def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPrime:
     """Validated point for the degree-d window: the height is an int
-    >= 1 (not a bool) or INF, and the char is prime, or 0 at height 1."""
+    >= 1 (not a bool) or INF, and the char is prime, or the int 0 at height 1."""
     check_layer(d, layer)
     check_height("height", height, 1, infinite=True)
-    if not (char == 0 and height == 1):
+    if height == 1:
+        check_char("char", char)
+    else:
         check_prime("char", char)
     return BalmerPrime(layer, char, height)
 

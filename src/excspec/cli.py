@@ -19,7 +19,7 @@ from . import balmer, burnside, classify, combinat, hzspec, zariski
 from .combinat import INF, BudgetError
 from .poset import Poset
 
-__all__ = ["main"]
+__all__ = ["guarded", "main"]
 
 WRITE_CHUNK = 1 << 16  # characters of `ideals --list` text per write
 
@@ -392,11 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def guarded(body) -> int:
+    """The exit-code contract of every entry point: run body(), flush
+    stdout and return the body's code; a BudgetError or ValueError is one
+    `error:` line on stderr and exit 2, and a reader that closed stdout
+    early is exit 0 with nothing on stderr."""
     try:
-        code = args.fn(args)
+        code = body()
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
     except (BudgetError, ValueError) as exc:
@@ -406,6 +408,11 @@ def main(argv=None) -> int:
         # The reader took what it wanted; the final flush goes nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return guarded(lambda: args.fn(args))
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ __all__ = [
     "check_height",
     "check_layer",
     "check_prime",
+    "check_char",
 ]
 
 MU_BRUTE_CELL_BUDGET = 20  # count every good subset only up to here
@@ -102,6 +103,13 @@ def check_prime(name: str, value) -> None:
     prime.  Raises ValueError naming the value given."""
     if type(value) is not int or not is_prime(value):
         raise ValueError(f"{name} must be prime, got {value!r}")
+
+
+def check_char(name: str, value) -> None:
+    """The one rule for a characteristic or residue: the int 0, or a
+    prime by `check_prime`.  Raises ValueError naming the value given."""
+    if type(value) is not int or value != 0:
+        check_prime(name, value)
 
 
 def check_window(d: int, primes: Iterable[int]) -> tuple[int, ...]:

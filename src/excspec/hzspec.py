@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .balmer import BalmerPrime
-from .combinat import INF, check_height, check_layer, check_prime, check_window, delta_p
+from .combinat import INF, check_char, check_height, check_layer, check_window, delta_p
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -44,8 +44,7 @@ class HZPrime:
 
 def hz_prime(d: int, layer: int, residue: int) -> HZPrime:
     check_layer(d, layer)
-    if residue != 0:
-        check_prime("residue", residue)
+    check_char("residue", residue)
     return HZPrime(layer, residue)
 
 
@@ -86,7 +85,7 @@ def hz_poset(d: int, primes: Iterable[int], residue: int | None = None) -> Poset
     `--slice`), only that residue's slice."""
     residues = (0,) + check_window(d, primes)
     if residue is not None:
-        if residue not in residues:
+        if type(residue) is not int or residue not in residues:
             raise ValueError(f"--slice must be 0 or one of the primes, got {residue}")
         residues = (residue,)
     return build_poset(_hz_stream(d, residues), hz_leq)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .burnside import BurnsidePresentation, RingElement
-from .combinat import check_height, check_layer, check_prime, check_window, layer_class
+from .combinat import check_char, check_height, check_layer, check_window, layer_class
 from .poset import Poset, build_poset
 
 __all__ = [
@@ -50,8 +50,7 @@ def canonical_layer(layer: int, char: int) -> int:
 def zariski_prime(d: int, layer: int, char: int) -> ZariskiPrime:
     """Validated point of the rank-d spectrum."""
     check_layer(d, layer)
-    if char != 0:
-        check_prime("char", char)
+    check_char("char", char)
     return ZariskiPrime(layer, char)
 
 

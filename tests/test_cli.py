@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import json
 import os
@@ -487,7 +488,7 @@ class TestSurveyScript:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--hmax", "-1"], "need hmax >= 0"),
+            (["--hmax", "-1"], "hmax must be an int >= 0, got -1"),
             (["--dmax", "1", "--hmax", str(10**6)], "budget exceeded"),
         ],
         ids=["negative-hmax", "over-budget"],
@@ -506,7 +507,7 @@ class TestSurveyScript:
         code, out, err = self.run(monkeypatch, capsys, "--hmax", "-1")
         assert code == 2
         assert out == ""
-        assert err == "error: need hmax >= 0, got -1\n"
+        assert err == "error: hmax must be an int >= 0, got -1\n"
 
     def test_drops_repeated_primes(self, monkeypatch, capsys):
         code, out, _ = self.run(monkeypatch, capsys, "--primes", "2,2", "--kmax", "1", "--dmax", "1")
@@ -552,6 +553,69 @@ def test_reader_closing_early_is_a_clean_exit(command, lines, tmp_path):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (b"" in taken, proc.wait(timeout=120), err) == (False, 0, b"")
+
+
+def _pipe_handlers(tree: ast.AST) -> list[str]:
+    """The innermost function around each `except` clause naming
+    BrokenPipeError and each call of `dup2`."""
+    found = set()
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if "BrokenPipeError" in names(node.type):
+                found.add(owner)
+        elif isinstance(node, ast.Call) and "dup2" in names(node.func):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_only_guarded_handles_a_closed_pipe():
+    """The exit-code contract is stated once: `cli.main` and both scripts
+    end through `cli.guarded`, so no other function catches
+    BrokenPipeError or points stdout at /dev/null."""
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "excspec").rglob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    handlers = [
+        f"{path.relative_to(root).as_posix()} ({name})"
+        for path in paths
+        for name in _pipe_handlers(ast.parse(path.read_text()))
+    ]
+    assert handlers == ["src/excspec/cli.py (guarded)"]
+
+
+def test_the_pipe_fence_sees_a_hand_written_handler():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n"
+        "    try:\n"
+        "        print('x')\n"
+        "    except (ValueError, BrokenPipeError):\n"
+        "        pass\n"
+        "def g():\n"
+        "    def inner():\n"
+        "        os.dup2(0, 1)\n"
+        "    return inner\n"
+        "def h():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except OSError:\n"
+        "        return os.open(os.devnull, os.O_WRONLY)\n"
+        "try:\n"
+        "    pass\n"
+        "except BrokenPipeError:\n"
+        "    pass\n"
+    )
+    assert _pipe_handlers(tree) == ["<module>", "f", "inner"]
 
 
 def readme_cli_examples():

@@ -27,6 +27,7 @@ from excspec.combinat import (
     MU_STIRLING_K_BUDGET,
     BudgetError,
     binomial,
+    check_char,
     check_layer,
     check_prime,
     check_window,
@@ -710,6 +711,24 @@ def test_a_prime_is_an_int(take, p):
         take(p)
 
 
+# Each entry point allowing the char or residue 0, as a function of it.
+ZERO_CHAR_TAKERS = {
+    "check_char": lambda c: check_char("char", c),
+    "balmer_prime": lambda c: balmer_prime(3, 2, c, 1),
+    "zariski_prime": lambda c: zariski_prime(3, 1, c),
+    "hz_prime": lambda c: hz_prime(3, 1, c),
+}
+
+
+@pytest.mark.parametrize("zero", [0.0, False])
+@pytest.mark.parametrize("take", ZERO_CHAR_TAKERS.values(), ids=ZERO_CHAR_TAKERS.keys())
+def test_the_zero_char_is_the_int_0(take, zero):
+    take(0)
+    take(2)
+    with pytest.raises(ValueError, match=rf"^(char|residue) must be prime, got {re.escape(repr(zero))}$"):
+        take(zero)
+
+
 # The only functions of the package allowed to test an argument against
 # a bound of 0 or 1 and raise ValueError: the argument rules themselves.
 ARGUMENT_RULES = {"check_height", "check_layer", "check_window", "check_prime"}
@@ -758,6 +777,7 @@ def test_no_hand_written_bound_outside_the_argument_rules():
     offenders = [
         f"{path.relative_to(root)}:{line} ({name})"
         for path in sorted((root / "src" / "excspec").rglob("*.py"))
+        + sorted((root / "scripts").glob("*.py"))
         for name, line in _bound_guards(ast.parse(path.read_text()))
         if name not in ARGUMENT_RULES
     ]

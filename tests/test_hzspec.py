@@ -168,6 +168,14 @@ class TestPoset:
                 f"--slice must be 0 or one of the primes, got {residue}"
             )
 
+    def test_the_slice_is_an_int(self):
+        for residue in (0.0, False, 2.0):
+            with pytest.raises(ValueError) as excinfo:
+                hz_poset(3, [2], residue)
+            assert str(excinfo.value) == (
+                f"--slice must be 0 or one of the primes, got {residue}"
+            )
+
     def test_checks_the_window_before_the_residue(self):
         for d, primes in ((0, [2]), (3, [4]), (3, [])):
             with pytest.raises(ValueError, match="^(d must be an int >= 1|p must be prime|prime set)"):

@@ -11,7 +11,7 @@ import argparse
 
 from excspec import cli
 from excspec.classify import count_p_admissible
-from excspec.combinat import check_height, check_window, delta_p
+from excspec.combinat import BudgetError, check_height, check_window, delta_p
 
 
 def main() -> int:
@@ -25,11 +25,14 @@ def main() -> int:
         # repeats dropped, the order given kept; check_window checks the scope
         primes = list(dict.fromkeys(int(tok) for tok in args.primes.split(",") if tok))
         check_window(1, primes)
-    except ValueError as exc:
+    except (BudgetError, ValueError) as exc:
         parser.error(f"bad --primes {args.primes!r}: {exc}")
 
     def tables() -> int:
-        check_height("hmax", args.hmax, 0)  # refused before the first row
+        # refused before the first row
+        check_height("kmax", args.kmax, 1)
+        check_height("dmax", args.dmax, 1)
+        check_height("hmax", args.hmax, 0)
         print("p,k,l,delta")
         for p in primes:
             for k in range(1, args.kmax + 1):

@@ -107,7 +107,6 @@ class SpectrumTruncation(Poset):
     d: int
     primes: tuple[int, ...]
     hmax: int
-    include_infinity: bool
 
 
 def b_truncation(
@@ -158,7 +157,6 @@ def b_truncation(
         d=d,
         primes=prime_tuple,
         hmax=hmax,
-        include_infinity=include_infinity,
     )
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain, product
 from operator import mul
 
-from .combinat import BudgetError, check_height, check_layer, mu_row, surjections
+from .combinat import check_budget, check_height, check_layer, mu_row, surjections
 
 __all__ = [
     "RingElement",
@@ -161,8 +161,7 @@ def _ghost_matrix(d: int) -> tuple[tuple[int, ...], ...]:
     presentation and the cokernel alike.  Cached by type as well as
     value, so that a bool or a float d reaches the check."""
     check_height("d", d, 1)
-    if d > PRESENT_MAX_D:
-        raise BudgetError(f"presentation budget exceeded: d = {d} > {PRESENT_MAX_D}")
+    check_budget("presentation", d, PRESENT_MAX_D, "layers")
     return tuple(
         tuple(surjections(i, j) if j <= i else 0 for j in range(1, d + 1))
         for i in range(1, d + 1)
@@ -184,10 +183,7 @@ def ghost_is_hom_check(d: int, trials: int = 50, seed: int = 0) -> bool:
     once.  A False return signals a structure-constant bug.  More than
     GHOST_TRIALS_BUDGET trials are refused before any work."""
     check_height("trials", trials, 0)
-    if trials > GHOST_TRIALS_BUDGET:
-        raise BudgetError(
-            f"ghost trial budget exceeded: trials = {trials} > {GHOST_TRIALS_BUDGET}"
-        )
+    check_budget("ghost trial", trials, GHOST_TRIALS_BUDGET, "trials")
     pres = present(d)
     rng = random.Random(seed)
 
@@ -208,10 +204,7 @@ def ghost_is_hom_check(d: int, trials: int = 50, seed: int = 0) -> bool:
 def quotient_presentation_check(d: int) -> bool:
     """Full triple-associativity sweep of the basis monomials: the table
     must satisfy (x_i x_j) x_k == x_i (x_j x_k) for all i, j, k."""
-    if d > ASSOCIATIVITY_MAX_D:
-        raise BudgetError(
-            f"quotient_presentation_check budget exceeded: d = {d} > {ASSOCIATIVITY_MAX_D}"
-        )
+    check_budget("quotient_presentation_check", d, ASSOCIATIVITY_MAX_D, "layers")
     pres = present(d)
     basis = [pres.basis(i) for i in range(1, d + 1)]
     return all(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .balmer import SpectrumTruncation
 from .combinat import (
-    INF, BudgetError, NatInfinity, check_height, check_layer, check_window, delta_p,
+    INF, NatInfinity, check_budget, check_height, check_layer, check_window, delta_p,
     layer_class,
 )
 
@@ -222,8 +222,7 @@ def count_p_admissible(d: int, p: int, hmax: int, budget: NatInfinity | None = N
     def spend(entries: int) -> None:
         nonlocal work
         work += entries
-        if work > limit:
-            raise BudgetError(f"DP budget exceeded: more than {limit} entries")
+        check_budget("DP", work, limit, "entries")
 
     spend((hmax + 2) * d)
     classes = [layer_class(p, k) for k in range(max(1, d - p + 2), d + 1)]
@@ -318,11 +317,10 @@ def enumerate_p_admissible(d: int, p: int, hmax: int):
     """
     check_window(d, (p,))
     check_height("hmax", hmax, 0)
-    # as (hmax + 2)**d does, without the d-th power: 2**bit_length > budget
-    if (hmax + 2) ** min(d, ENUM_BUDGET.bit_length()) > ENUM_BUDGET:
-        raise BudgetError(
-            f"enumeration budget exceeded: ({hmax + 2})**{d} > {ENUM_BUDGET}"
-        )
+    # a lower bound of (hmax + 2)**d, without the d-th power, that refuses
+    # as it does: 2**bit_length > budget
+    candidates = (hmax + 2) ** min(d, ENUM_BUDGET.bit_length())
+    check_budget("enumeration", candidates, ENUM_BUDGET, "candidate vectors")
     # the DP's work is within a small multiple of the walk's, so the
     # enumeration budget bounds both
     count = count_p_admissible(d, p, hmax, budget=INF)

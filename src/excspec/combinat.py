@@ -5,9 +5,10 @@ counts grow like i! and overflow 64-bit machine words near i = 21, so no
 fixed-width shortcut is taken anywhere.  The one float here, INF, is
 math.inf: Python compares it exactly with ints of any size, and it
 absorbs addition.  Brute-force routines carry hard enumeration budgets
-and raise :class:`BudgetError` instead of silently truncating; they
-serve as oracles for the closed-form routines and must never lie.  Like
-the rest of the package they need only the standard library.
+and raise :class:`BudgetError` through `check_budget`, the package's one
+budget rule, instead of silently truncating; they serve as oracles for
+the closed-form routines and must never lie.  Like the rest of the
+package they need only the standard library.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "INF",
     "NatInfinity",
     "BudgetError",
-    "binomial",
     "stirling2",
     "stirling1",
     "surjections",
@@ -42,6 +42,7 @@ __all__ = [
     "check_layer",
     "check_prime",
     "check_char",
+    "check_budget",
 ]
 
 MU_BRUTE_CELL_BUDGET = 20  # count every good subset only up to here
@@ -53,6 +54,15 @@ PARTITION_BUDGET = 64  # largest k for which p-power partitions are enumerated
 class BudgetError(Exception):
     """An enumeration exceeded its hard budget; the caller must use a
     formula-based method instead."""
+
+
+def check_budget(name: str, amount, limit, unit: str) -> None:
+    """The one rule for a budget: raise BudgetError when amount exceeds
+    limit.  Each caller passes its own module's constant, read at call
+    time; where only a lower bound of the amount is known it is passed,
+    and the message stays true."""
+    if amount > limit:
+        raise BudgetError(f"{name} budget exceeded: more than {limit} {unit}")
 
 
 # The top of N with infinity.  A computed infinity (1 + INF) is a new
@@ -79,8 +89,7 @@ def is_prime(p: int) -> bool:
     for a in _MR_BASES:
         if p % a == 0:
             return p == a
-    if p >= MR_EXACT_BELOW:
-        raise BudgetError(f"is_prime is exact only below {MR_EXACT_BELOW}, got {p}")
+    check_budget("is_prime", p, MR_EXACT_BELOW - 1, "as p")
     odd, twos = p - 1, 0
     while odd % 2 == 0:
         odd //= 2
@@ -153,13 +162,6 @@ def check_height(name: str, value, floor: int, infinite: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero outside 0 <= k <= n."""
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
-
-
 @lru_cache(maxsize=None)
 def _stirling2_row(n: int) -> tuple[int, ...]:
     row = [1]  # S(0, k) for k = 0..n
@@ -178,20 +180,24 @@ def _stirling1_row(n: int) -> tuple[int, ...]:
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k): partitions of an
-    n-set into k nonempty blocks.  Row n is built iteratively by
-    S(m, k) = k S(m-1, k) + S(m-1, k-1) and cached."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _stirling2_row(n)[k]
+    n-set into k nonempty blocks, zero for k > n.  Row n is built
+    iteratively by S(m, k) = k S(m-1, k) + S(m-1, k-1) and cached; as a
+    row costs cubic time, n is refused past MU_STIRLING_K_BUDGET."""
+    check_height("n", n, 0)
+    check_height("k", k, 0)
+    check_budget("stirling2", n, MU_STIRLING_K_BUDGET, "rows")
+    return _stirling2_row(n)[k] if k <= n else 0
 
 
 def stirling1(n: int, k: int) -> int:
-    """Signed Stirling number of the first kind s(n, k).  Row n is built
-    iteratively by s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k) and cached,
-    so a caller reading all of row n pays O(n**2) once."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _stirling1_row(n)[k]
+    """Signed Stirling number of the first kind s(n, k), zero for k > n.
+    Row n is built iteratively by s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k)
+    and cached, so a caller reading all of row n pays O(n**2) big-int
+    steps once; n is refused past MU_STIRLING_K_BUDGET, as stirling2."""
+    check_height("n", n, 0)
+    check_height("k", k, 0)
+    check_budget("stirling1", n, MU_STIRLING_K_BUDGET, "rows")
+    return _stirling1_row(n)[k] if k <= n else 0
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -250,10 +256,7 @@ def mu_brute(i: int, j: int, k: int) -> int:
     requires i*j <= MU_BRUTE_CELL_BUDGET."""
     for name, value in (("i", i), ("j", j), ("k", k)):
         check_height(name, value, 1)
-    if i * j > MU_BRUTE_CELL_BUDGET:
-        raise BudgetError(
-            f"mu_brute budget exceeded: i*j = {i * j} > {MU_BRUTE_CELL_BUDGET}"
-        )
+    check_budget("mu_brute", i * j, MU_BRUTE_CELL_BUDGET, "cells")
     table = _mu_brute_table(i, j)
     return table[k] if k < len(table) else 0
 
@@ -268,10 +271,7 @@ def mu_incl_excl(i: int, j: int, k: int) -> int:
         check_height(name, value, 1)
     if not max(i, j) <= k <= i * j:
         return 0
-    if i * j > MU_INCL_EXCL_CELL_BUDGET:
-        raise BudgetError(
-            f"mu_incl_excl budget exceeded: i*j = {i * j} > {MU_INCL_EXCL_CELL_BUDGET}"
-        )
+    check_budget("mu_incl_excl", i * j, MU_INCL_EXCL_CELL_BUDGET, "cells")
     return mu_row(i, j, k, k)[0]
 
 
@@ -313,13 +313,11 @@ def mu_stirling(i: int, j: int, k: int) -> int:
     lo = max(i, j)
     if k < lo:
         return 0
-    if k > MU_STIRLING_K_BUDGET:
-        raise BudgetError(
-            f"mu_stirling budget exceeded: k = {k} > {MU_STIRLING_K_BUDGET}"
-        )
+    check_budget("mu_stirling", k, MU_STIRLING_K_BUDGET, "Stirling rows")
+    row = _stirling1_row(k)
     numerator = 0
     for m in range(lo, k + 1):
-        numerator += surjections(m, i) * surjections(m, j) * stirling1(k, m)
+        numerator += surjections(m, i) * surjections(m, j) * row[m]
     quotient, remainder = divmod(numerator, math.factorial(k))
     if remainder:
         raise RuntimeError(
@@ -368,10 +366,7 @@ def ppp_enumerate(p: int, k: int, l: int) -> list[tuple[int, ...]]:
     check_height("k", k, 1)
     check_height("l", l, 1)
     check_prime("p", p)
-    if k > PARTITION_BUDGET:
-        raise BudgetError(
-            f"ppp_enumerate budget exceeded: k = {k} > {PARTITION_BUDGET}"
-        )
+    check_budget("ppp_enumerate", k, PARTITION_BUDGET, "layers")
 
     powers = [1]
     while powers[-1] * p <= k:
@@ -445,10 +440,7 @@ def shortest_ppp_chain(p: int, k: int, l: int) -> list[int] | None:
     check_height("l", l, 1)
     check_height("k", k, l)
     check_prime("p", p)
-    if k > PARTITION_BUDGET:
-        raise BudgetError(
-            f"shortest_ppp_chain budget exceeded: k = {k} > {PARTITION_BUDGET}"
-        )
+    check_budget("shortest_ppp_chain", k, PARTITION_BUDGET, "layers")
     if k == l:
         return [k]
     parent = {k: None}

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable
 
-from .combinat import BudgetError
+from .combinat import check_budget
 
 __all__ = [
     "POINT_BUDGET",
@@ -31,8 +31,7 @@ POINT_BUDGET = 1200  # most points a poset materializes (quadratic bitsets)
 def check_point_budget(n_points: int) -> None:
     """Raise BudgetError when n_points exceeds POINT_BUDGET, read at call
     time."""
-    if n_points > POINT_BUDGET:
-        raise BudgetError(f"poset budget exceeded: more than {POINT_BUDGET} points")
+    check_budget("poset", n_points, POINT_BUDGET, "points")
 
 
 @dataclass(frozen=True)

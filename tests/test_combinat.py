@@ -1,5 +1,6 @@
 import ast
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from excspec.combinat import (
     MU_INCL_EXCL_CELL_BUDGET,
     MU_STIRLING_K_BUDGET,
     BudgetError,
-    binomial,
     check_char,
     check_layer,
     check_prime,
@@ -48,20 +48,22 @@ from excspec.combinat import (
     stirling2,
     surjections,
 )
-from excspec.burnside import cokernel_invariants, ghost_is_hom_check, present, ring_check
+from excspec import burnside, classify, combinat, poset
+from excspec.burnside import (
+    cokernel_invariants,
+    ghost_is_hom_check,
+    present,
+    quotient_presentation_check,
+    ring_check,
+)
 from excspec.hzspec import HZPrime, hz_admissible_subset, hz_leq, hz_poset, hz_prime
+from excspec.poset import build_poset
 from excspec.zariski import ZariskiPrime, z_poset, zariski_prime
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 
 class TestBasicCounts:
-    def test_binomial_window(self):
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
-        for n in range(8):
-            assert binomial(n, 0) == 1
-
     def test_stirling2_edges(self):
         for n in range(9):
             assert stirling2(n, n) == 1
@@ -71,6 +73,18 @@ class TestBasicCounts:
     def test_stirling1_signed(self):
         # row n = 4: x(x-1)(x-2)(x-3) = x^4 - 6x^3 + 11x^2 - 6x
         assert [stirling1(4, k) for k in range(5)] == [0, -6, 11, -6, 1]
+
+    @pytest.mark.parametrize("stirling", [stirling1, stirling2])
+    def test_stirling_rows_take_the_int_rule_and_a_budget(self, stirling, monkeypatch):
+        assert stirling(0, 0) == 1 and stirling(2, 3) == 0
+        for n, k, given in ((2.5, 1, "n .* got 2.5"), (True, 1, "n .* got True"),
+                            (-1, 0, "n .* got -1"), (3, -1, "k .* got -1"), (3, 1.0, "k .* got 1.0")):
+            with pytest.raises(ValueError, match=given):
+                stirling(n, k)
+        monkeypatch.setattr(combinat, "MU_STIRLING_K_BUDGET", 6)
+        stirling(6, 7)
+        with pytest.raises(BudgetError, match=f"^{stirling.__name__} budget exceeded: more than 6 rows$"):
+            stirling(7, 8)
 
     def test_surjections_examples(self):
         assert surjections(3, 2) == 6
@@ -563,7 +577,7 @@ class TestIsPrime:
     def test_refuses_past_the_exact_range(self):
         assert not is_prime(MR_EXACT_BELOW - 1)  # even
         for n in (MR_EXACT_BELOW, 2**89 - 1):
-            with pytest.raises(BudgetError, match="exact only below"):
+            with pytest.raises(BudgetError, match="^is_prime budget exceeded: more than "):
                 is_prime(n)
 
 
@@ -795,3 +809,116 @@ def test_the_bound_fence_sees_a_hand_written_guard():
         "        raise ValueError('a bool is not the int 1')\n"
     )
     assert _bound_guards(tree) == [("f", 2)]
+
+
+def _budget_raises(tree: ast.AST) -> list[tuple[str | None, int]]:
+    """(innermost function or None, line) of each raise of BudgetError."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name == "BudgetError":
+                    found.append((fn, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_budget_error_is_raised_by_check_budget():
+    """Every budget is refused through combinat.check_budget, the one
+    statement of the rule."""
+    root = Path(__file__).resolve().parents[1]
+    offenders = [
+        f"{path.relative_to(root)}:{line} ({name})"
+        for path in sorted((root / "src" / "excspec").rglob("*.py"))
+        + sorted((root / "scripts").glob("*.py"))
+        for name, line in _budget_raises(ast.parse(path.read_text()))
+        if name != "check_budget"
+    ]
+    assert offenders == []
+
+
+def test_the_budget_fence_sees_a_hand_written_raise():
+    tree = ast.parse(
+        "def check_budget(name, amount, limit, unit):\n"
+        "    raise BudgetError(name)\n"
+        "def f(k):\n"
+        "    def spend():\n"
+        "        raise combinat.BudgetError('over')\n"
+        "    if k > 64:\n"
+        "        raise BudgetError\n"
+        "raise BudgetError('at import')\n"
+    )
+    assert _budget_raises(tree) == [("check_budget", 2), ("spend", 5), ("f", 7), (None, 8)]
+
+
+# Each budget at its boundary, by constant and the function it bounds: a
+# call of one int n, the lowered limit where the real boundary is slow
+# (None where it is not), and the largest n accepted under a limit.  A
+# lowered limit also shows that the constant is read at call time.
+BUDGET_BOUNDARIES = {
+    "MR_EXACT_BELOW-is_prime": (
+        combinat, "MR_EXACT_BELOW", None, is_prime, lambda limit: limit - 1,
+    ),
+    "MU_BRUTE_CELL_BUDGET-mu_brute": (
+        combinat, "MU_BRUTE_CELL_BUDGET", None, lambda n: mu_brute(n, 1, 1), lambda limit: limit,
+    ),
+    "MU_INCL_EXCL_CELL_BUDGET-mu_incl_excl": (
+        combinat, "MU_INCL_EXCL_CELL_BUDGET", None, lambda n: mu_incl_excl(n, 1, n),
+        lambda limit: limit,
+    ),
+    "MU_STIRLING_K_BUDGET-mu_stirling": (
+        combinat, "MU_STIRLING_K_BUDGET", 30, lambda n: mu_stirling(1, 1, n), lambda limit: limit,
+    ),
+    "PARTITION_BUDGET-ppp_enumerate": (
+        combinat, "PARTITION_BUDGET", None, lambda n: ppp_enumerate(2, n, 1), lambda limit: limit,
+    ),
+    "PARTITION_BUDGET-shortest_ppp_chain": (
+        combinat, "PARTITION_BUDGET", None, lambda n: shortest_ppp_chain(2, n, n - 1),
+        lambda limit: limit,
+    ),
+    "PRESENT_MAX_D-present": (burnside, "PRESENT_MAX_D", None, present, lambda limit: limit),
+    "ASSOCIATIVITY_MAX_D-quotient_presentation_check": (
+        burnside, "ASSOCIATIVITY_MAX_D", None, quotient_presentation_check, lambda limit: limit,
+    ),
+    "GHOST_TRIALS_BUDGET-ghost_is_hom_check": (
+        burnside, "GHOST_TRIALS_BUDGET", 40, lambda n: ghost_is_hom_check(2, n),
+        lambda limit: limit,
+    ),
+    # (hmax + 2)**d candidate vectors, at d = 1
+    "ENUM_BUDGET-enumerate_p_admissible": (
+        classify, "ENUM_BUDGET", 100, lambda n: enumerate_p_admissible(1, 2, n),
+        lambda limit: limit - 2,
+    ),
+    # at d = 1 the DP computes 2 * (hmax + 2) entries
+    "DP_BUDGET-count_p_admissible": (
+        classify, "DP_BUDGET", 100, lambda n: count_p_admissible(1, 2, n),
+        lambda limit: limit // 2 - 2,
+    ),
+    "POINT_BUDGET-build_poset": (
+        poset, "POINT_BUDGET", 10, lambda n: build_poset(range(n), operator.le),
+        lambda limit: limit,
+    ),
+    # 1 + hmax points at d = 1 over one prime, with infinity
+    "POINT_BUDGET-b_truncation": (
+        poset, "POINT_BUDGET", 10, lambda n: b_truncation(1, [2], n), lambda limit: limit - 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BUDGET_BOUNDARIES.values(), ids=BUDGET_BOUNDARIES.keys())
+def test_every_budget_at_its_boundary(case, monkeypatch):
+    """The largest input within each budget answers and the next one is
+    refused with BudgetError."""
+    module, constant, lowered, call, largest = case
+    if lowered is not None:
+        monkeypatch.setattr(module, constant, lowered)
+    n = largest(getattr(module, constant))
+    call(n)
+    with pytest.raises(BudgetError, match="budget exceeded|exact only below"):
+        call(n + 1)

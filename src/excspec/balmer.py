@@ -64,6 +64,16 @@ class BalmerPrime:
         if self.height == 1:
             object.__setattr__(self, "char", 0)
 
+    def label(self) -> str:
+        """`P(layer|char,height)`, with char `*` at height 1, where the
+        point is char-independent, and height `inf` at INF."""
+        char = "*" if self.height == 1 else self.char
+        return f"P({self.layer}|{char},{self.height})"
+
+    def json_fields(self) -> dict:
+        """The point's JSON object; the height is text, so INF is "inf"."""
+        return {"layer": self.layer, "char": self.char, "height": str(self.height)}
+
 
 def balmer_prime(d: int, layer: int, char: int, height: NatInfinity) -> BalmerPrime:
     """Validated point for the degree-d window: the height is an int

@@ -142,15 +142,13 @@ class BurnsidePresentation:
             raise ValueError("dimension mismatch with presentation")
         return tuple(sum(map(mul, row, a.coeffs)) for row in self._lower)
 
-    def table_lines(self) -> list[str]:
-        """Human-readable multiplication table, one basis product per line."""
-        lines = []
-        for i in range(1, self.d + 1):
+    def table(self):
+        """The multiplication table, one basis product x_i x_j per pair
+        i <= j, ascending: (i, j, terms), where terms are the nonzero
+        (l, mu(i, j, l)) with l ascending."""
+        for i, row in enumerate(self._products, 1):
             for j in range(i, self.d + 1):
-                terms = [f"{value} x{l + 1}" for l, value in self._products[i - 1][j - 1]]
-                rhs = " + ".join(terms) if terms else "0"
-                lines.append(f"x{i}*x{j} = {rhs}")
-        return lines
+                yield i, j, tuple((l + 1, value) for l, value in row[j - 1])
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .balmer import SpectrumTruncation
 from .combinat import (
-    INF, NatInfinity, check_budget, check_height, check_layer, check_window, delta_p,
-    layer_class,
+    INF, NatInfinity, check_budget, check_height, check_layer, check_prime, check_window,
+    delta_p, layer_class,
 )
 
 __all__ = [
@@ -82,6 +82,9 @@ class AdmissibleFunction:
 
     def value(self, k: int, p: int) -> NatInfinity:
         check_layer(self.d, k)
+        check_prime("p", p)
+        if p not in self.primes:
+            raise ValueError(f"p must be one of the primes {self.primes}, got {p}")
         return self.values[self.primes.index(p)][k - 1]
 
 

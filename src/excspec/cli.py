@@ -34,21 +34,8 @@ MODE_FLAGS = {
 }
 
 
-def balmer_label(pt: balmer.BalmerPrime) -> str:
-    char = "*" if pt.height == 1 else str(pt.char)
-    return f"P({pt.layer}|{char},{pt.height})"
-
-
-def zariski_label(pt: zariski.ZariskiPrime) -> str:
-    return f"z({pt.layer}|{pt.char})"
-
-
-def hz_label(pt: hzspec.HZPrime) -> str:
-    return f"hz({pt.layer}|{pt.residue})"
-
-
-def poset_to_dot(poset: Poset, label, graph_name: str) -> str:
-    labels = [label(node) for node in poset.points]
+def poset_to_dot(poset: Poset, graph_name: str) -> str:
+    labels = [node.label() for node in poset.points]
     lines = [f"digraph {graph_name} {{"]
     lines.append("  rankdir=TB;  // containment arrows point downward")
     lines.append("  node [shape=box];")
@@ -58,18 +45,18 @@ def poset_to_dot(poset: Poset, label, graph_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def poset_to_json(poset: Poset, point_dict) -> str:
+def poset_to_json(poset: Poset) -> str:
     # json.dumps writes the index-pair tuples as arrays
     payload = {
-        "points": [point_dict(node) for node in poset.points],
+        "points": [node.json_fields() for node in poset.points],
         "covers": poset.covers,
         "relation": poset.relation,
     }
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
 
-def poset_to_text(poset: Poset, label) -> str:
-    labels = [label(node) for node in poset.points]
+def poset_to_text(poset: Poset) -> str:
+    labels = [node.label() for node in poset.points]
     lines = [f"points: {len(labels)}"]
     lines.extend(f"  {text}" for text in labels)
     lines.append(f"covers: {len(poset.covers)}")
@@ -135,63 +122,47 @@ def cmd_mu(args) -> int:
 def cmd_ring(args) -> int:
     _check_mode_flags(args)
     if args.mode == "table":
-        pres = burnside.present(args.d)
+        table = burnside.present(args.d).table()
         if args.format == "json":
-            payload = {
-                "d": pres.d,
-                "products": [
-                    {"i": i, "j": j, "l": l, "mu": value}
-                    for (i, j, l), value in sorted(pres.mu.items())
-                    if i <= j
-                ],
-            }
+            payload = {"d": args.d, "products": [
+                {"i": i, "j": j, "l": l, "mu": v} for i, j, terms in table for l, v in terms
+            ]}
             print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
         else:
-            for line in pres.table_lines():
-                print(line)
+            for i, j, terms in table:
+                rhs = " + ".join(f"{value} x{l}" for l, value in terms)
+                print(f"x{i}*x{j} = {rhs or 0}")
         return 0
     if args.mode == "cokernel":
         invariants = burnside.cokernel_invariants(args.d)
-        ok = burnside.factorial_product_group_matches(invariants, args.d)
         print("invariant factors:", " ".join(str(n) for n in invariants))
-        print(
-            "cokernel matches product of Z/i! for i = 1..%d: %s"
-            % (args.d, "PASS" if ok else "FAIL")
-        )
-        return 0 if ok else 1
-    options = {name: getattr(args, name) for name in ("trials", "seed") if name in args}
-    checks = burnside.ring_check(args.d, **options)
-    for name, ok in checks.items():
+        name = f"cokernel matches product of Z/i! for i = 1..{args.d}"
+        verdicts = {name: burnside.factorial_product_group_matches(invariants, args.d)}
+    else:
+        options = {name: getattr(args, name) for name in ("trials", "seed") if name in args}
+        verdicts = burnside.ring_check(args.d, **options)
+    for name, ok in verdicts.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    return 0 if all(checks.values()) else 1
+    return 0 if all(verdicts.values()) else 1
 
 
-def _spec_poset(args):
+def _spec_poset(args) -> Poset:
     primes = _parse_primes(args.primes)
     if args.variant == "zariski":
-        poset = zariski.z_poset(args.d, primes)
-        return poset, zariski_label, lambda q: {"layer": q.layer, "char": q.char}
+        return zariski.z_poset(args.d, primes)
     if args.variant == "hz":
-        poset = hzspec.hz_poset(args.d, primes, args.slice)
-        return poset, hz_label, lambda q: {"layer": q.layer, "char": q.residue}
-    trunc = balmer.b_truncation(
-        args.d, primes, args.hmax, include_infinity=not args.no_inf
-    )
-    return (
-        trunc,
-        balmer_label,
-        lambda q: {"layer": q.layer, "char": q.char, "height": str(q.height)},
-    )
+        return hzspec.hz_poset(args.d, primes, args.slice)
+    return balmer.b_truncation(args.d, primes, args.hmax, include_infinity=not args.no_inf)
 
 
 def cmd_spec(args) -> int:
-    poset, label, point_dict = _spec_poset(args)
+    poset = _spec_poset(args)
     if args.format == "dot":
-        sys.stdout.write(poset_to_dot(poset, label, args.variant))
+        sys.stdout.write(poset_to_dot(poset, args.variant))
     elif args.format == "json":
-        sys.stdout.write(poset_to_json(poset, point_dict))
+        sys.stdout.write(poset_to_json(poset))
     else:
-        sys.stdout.write(poset_to_text(poset, label))
+        sys.stdout.write(poset_to_text(poset))
     return 0
 
 
@@ -205,7 +176,7 @@ def cmd_smith(args) -> int:
         args.d, args.p, args.k, args.l, _parse_natinf(args.n), _parse_natinf(args.h)
     )
     holds = balmer.b_leq(a, b)
-    print(f"{balmer_label(a)} <= {balmer_label(b)}: {holds}")
+    print(f"{a.label()} <= {b.label()}: {holds}")
     print("HOLDS" if holds else "FAILS")
     return 0
 

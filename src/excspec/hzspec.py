@@ -41,6 +41,13 @@ class HZPrime:
     def __post_init__(self):
         check_height("layer", self.layer, 1)
 
+    def label(self) -> str:
+        return f"hz({self.layer}|{self.residue})"
+
+    def json_fields(self) -> dict:
+        """The point's JSON object: the residue goes out under "char"."""
+        return {"layer": self.layer, "char": self.residue}
+
 
 def hz_prime(d: int, layer: int, residue: int) -> HZPrime:
     check_layer(d, layer)
@@ -81,12 +88,12 @@ def hz_points(d: int, primes: Iterable[int]) -> list[HZPrime]:
 
 def hz_poset(d: int, primes: Iterable[int], residue: int | None = None) -> Poset:
     """The spectrum over the given residue characteristics plus 0 as a
-    poset, or, given a residue (0 or one of the primes; the CLI's
-    `--slice`), only that residue's slice."""
+    poset, or, given a residue (0 or one of the primes), only that
+    residue's slice."""
     residues = (0,) + check_window(d, primes)
     if residue is not None:
         if type(residue) is not int or residue not in residues:
-            raise ValueError(f"--slice must be 0 or one of the primes, got {residue}")
+            raise ValueError(f"residue must be 0 or one of the primes, got {residue!r}")
         residues = (residue,)
     return build_poset(_hz_stream(d, residues), hz_leq)
 

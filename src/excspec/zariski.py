@@ -40,6 +40,13 @@ class ZariskiPrime:
         check_height("layer", self.layer, 1)
         object.__setattr__(self, "layer", canonical_layer(self.layer, self.char))
 
+    def label(self) -> str:
+        """`z(layer|char)`, at the canonical layer."""
+        return f"z({self.layer}|{self.char})"
+
+    def json_fields(self) -> dict:
+        return {"layer": self.layer, "char": self.char}
+
 
 def canonical_layer(layer: int, char: int) -> int:
     """Minimal layer in the gluing class, the first of `layer_class`;

@@ -83,6 +83,18 @@ class TestPoints:
         assert balmer_prime(3, 1, 0, 1) == balmer_prime(3, 1, 5, 1)
 
 
+class TestTextForms:
+    def test_a_char_p_spelling_of_the_rational_point_prints_star(self):
+        pt = BalmerPrime(2, 5, 1)
+        assert pt.label() == "P(2|*,1)"
+        assert pt.json_fields() == {"layer": 2, "char": 0, "height": "1"}
+
+    def test_a_height_infinity_point_prints_inf(self):
+        pt = BalmerPrime(3, 2, INF)
+        assert pt.label() == "P(3|2,inf)"
+        assert pt.json_fields() == {"layer": 3, "char": 2, "height": "inf"}
+
+
 class TestOrder:
     def test_one_step_blueshift(self):
         for h in (1, 2, 5):

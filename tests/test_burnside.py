@@ -109,6 +109,21 @@ class TestPresentation:
         with pytest.raises(BudgetError):
             present(17)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_table_is_every_nonzero_structure_constant_in_order(self, d):
+        # one row per pair i <= j, and the terms flattened in the (i, j, l)
+        # order of `ring --table --json`
+        pres = present(d)
+        table = list(pres.table())
+        assert [(i, j) for i, j, _ in table] == [
+            (i, j) for i in range(1, d + 1) for j in range(i, d + 1)
+        ]
+        assert [(i, j, l, value) for i, j, terms in table for l, value in terms] == [
+            (i, j, l, pres.structure_constant(i, j, l))
+            for i, j, l in product(range(1, d + 1), repeat=3)
+            if i <= j and pres.structure_constant(i, j, l)
+        ]
+
     def test_full_product_keeps_tail_above_d(self):
         pres = present(3)
         assert pres.full_product(2, 2) == {2: 2, 3: 4, 4: 1}

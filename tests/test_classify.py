@@ -237,6 +237,11 @@ class TestAdmissible:
         with pytest.raises(ValueError, match="layer"):
             f.value(k, 2)
 
+    def test_value_refuses_a_prime_outside_the_scope(self):
+        f = PAdmissibleFunction(3, 2, (0, 1, 2))
+        with pytest.raises(ValueError, match=r"^p must be one of the primes \(2,\), got 3$"):
+            f.value(1, 3)
+
     def test_lookup_by_prime_survives_the_sorting(self):
         f = AdmissibleFunction(2, (3, 2), ((1, 1), (2, 2)))
         assert f.value(1, 3) == 1 and f.value(1, 2) == 2

@@ -621,6 +621,56 @@ def test_the_pipe_fence_sees_a_hand_written_handler():
     assert _pipe_handlers(tree) == ["<module>", "f", "inner"]
 
 
+# The point and table fields the library's text forms read: `label()`,
+# `json_fields()` and `BurnsidePresentation.table()`.
+POINT_FIELDS = {"layer", "char", "height", "residue", "mu", "_products"}
+
+
+def _point_reads(tree: ast.AST) -> list[str]:
+    """The innermost function around each read of a POINT_FIELDS
+    attribute."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr in POINT_FIELDS
+        ):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_cli_reads_no_point_field():
+    """cli.py parses and prints: each point prints itself, and the ring
+    table is walked by `BurnsidePresentation.table()`, so no function of
+    cli.py reads a point's or a presentation's fields."""
+    path = Path(__file__).resolve().parents[1] / "src" / "excspec" / "cli.py"
+    assert _point_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_point_fence_sees_a_hand_written_label():
+    tree = ast.parse(
+        "def label(pt):\n"
+        "    char = '*' if pt.height == 1 else str(pt.char)\n"
+        "    return f'P({pt.layer}|{char},{pt.height})'\n"
+        "def poset(args):\n"
+        "    return lambda q: {'char': q.residue}\n"
+        "def ring(pres):\n"
+        "    return sorted(pres.mu.items()), pres._products\n"
+        "def fine(pt, args):\n"
+        "    pt.layer = 1\n"
+        "    return pt.label(), args.slice, {'layer': 1}\n"
+    )
+    assert _point_reads(tree) == ["label", "poset", "ring"]
+
+
 def readme_cli_examples():
     """(argv, quoted output) for each `excspec ...` line of the README's
     CLI block; the quoted output is every double-quoted string in the

@@ -19,7 +19,9 @@ from excspec.balmer import (
     smith_points,
     tate_blueshift,
 )
-from excspec.classify import count_p_admissible, enumerate_p_admissible, is_p_admissible
+from excspec.classify import (
+    AdmissibleFunction, count_p_admissible, enumerate_p_admissible, is_p_admissible,
+)
 from excspec.combinat import (
     INF,
     MR_EXACT_BELOW,
@@ -713,6 +715,7 @@ STRICT_PRIME_TAKERS = {
     "balmer_prime": lambda p: balmer_prime(3, 2, p, 2),
     "zariski_prime": lambda p: zariski_prime(3, 1, p),
     "hz_prime": lambda p: hz_prime(3, 1, p),
+    "AdmissibleFunction.value": lambda p: AdmissibleFunction(3, (2, 3), ((0,) * 3,) * 2).value(1, p),
 }
 
 

@@ -53,6 +53,13 @@ class TestOrder:
             hz_prime(3, 1, 9)
 
 
+class TestTextForms:
+    def test_the_residue_goes_out_under_char(self):
+        assert HZPrime(4, 3).label() == "hz(4|3)"
+        assert HZPrime(4, 3).json_fields() == {"layer": 4, "char": 3}
+        assert HZPrime(1, 0).json_fields() == {"layer": 1, "char": 0}
+
+
 class TestBaseChange:
     def test_values(self):
         assert hz_base_change(HZPrime(2, 5)).height == INF
@@ -165,7 +172,7 @@ class TestPoset:
             with pytest.raises(ValueError) as excinfo:
                 hz_poset(3, [2], residue)
             assert str(excinfo.value) == (
-                f"--slice must be 0 or one of the primes, got {residue}"
+                f"residue must be 0 or one of the primes, got {residue!r}"
             )
 
     def test_the_slice_is_an_int(self):
@@ -173,7 +180,7 @@ class TestPoset:
             with pytest.raises(ValueError) as excinfo:
                 hz_poset(3, [2], residue)
             assert str(excinfo.value) == (
-                f"--slice must be 0 or one of the primes, got {residue}"
+                f"residue must be 0 or one of the primes, got {residue!r}"
             )
 
     def test_checks_the_window_before_the_residue(self):

@@ -42,6 +42,12 @@ class TestEquality:
     def test_raw_glued_point_is_in_the_poset(self):
         assert ZariskiPrime(3, 2) in z_poset(3, [2])
 
+    def test_a_glued_spelling_prints_its_canonical_layer(self):
+        for pt in (ZariskiPrime(5, 3), zariski_prime(5, 5, 3)):
+            assert pt.label() == "z(1|3)"
+            assert pt.json_fields() == {"layer": 1, "char": 3}
+        assert ZariskiPrime(2, 0).label() == "z(2|0)"
+
     def test_char_one_constructs(self):
         # canonical_layer leaves a char below 2 alone, so nothing divides by 0
         assert ZariskiPrime(1, 1).layer == 1

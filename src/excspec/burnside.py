@@ -39,9 +39,19 @@ GHOST_TRIALS_BUDGET = 10_000  # about 0.25 ms a trial at d = 16
 @dataclass(frozen=True)
 class RingElement:
     """Element of the rank-d ring, as the integer coefficient vector of
-    (x_1, ..., x_d)."""
+    (x_1, ..., x_d).  Any sequence of ints is stored as a tuple, so equal
+    elements compare and hash equal; any other coefficient, a bool or a
+    float included, is refused."""
 
     coeffs: tuple[int, ...]
+
+    def __init__(self, coeffs) -> None:
+        # one attribute write, not __post_init__'s second: every product is built here
+        coeffs = tuple(coeffs)
+        for c in coeffs:
+            if type(c) is not int:
+                raise ValueError(f"coefficient must be an int, got {c!r}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def dim(self) -> int:
@@ -73,33 +83,25 @@ class RingElement:
 
 class BurnsidePresentation:
     """Multiplication table and ghost matrix of the rank-d ring.
-    Immutable after construction; safe to share.  Each unordered basis
-    pair's structure constants mu(i, j, l), l = max(i, j)..min(d, i*j),
-    come from one `mu_row` pass.  No query needs the ghost matrix's
-    inverse, s(i,j)/i!; the tests check it exactly for every d that
-    `present` accepts."""
+    Immutable after construction, every table a tuple; safe to share.
+    Each unordered basis pair's structure constants mu(i, j, l),
+    l = max(i, j)..min(d, i*j), come from one `mu_row` pass.  No query
+    needs the ghost matrix's inverse, s(i,j)/i!; the tests check it
+    exactly for every d that `present` accepts."""
 
     def __init__(self, d: int):
-        self.M: list[list[int]] = [list(row) for row in _ghost_matrix(d)]
+        self.M = _ghost_matrix(d)
         self.d = d
         # M is lower triangular: row i-1 ends at its diagonal entry i!
-        self._lower = [row[:i] for i, row in enumerate(self.M, 1)]
-        # mu[(i, j, l)] for 1 <= i, j, l <= d, nonzero entries only, in
-        # both orders of each pair.  _products[i-1][j-1]: the nonzero
-        # terms (l-1, mu) of x_i x_j, one tuple shared by both orders
-        self.mu: dict[tuple[int, int, int], int] = {}
-        self._products: list[list[tuple]] = [[()] * d for _ in range(d)]
-        for i in range(1, d + 1):
-            for j in range(i, d + 1):
-                top = min(d, i * j)
-                terms = tuple(
-                    (l - 1, value)
-                    for l, value in zip(range(j, top + 1), mu_row(i, j, j, top))
-                    if value
-                )
-                for l, value in terms:
-                    self.mu[(i, j, l + 1)] = self.mu[(j, i, l + 1)] = value
-                self._products[i - 1][j - 1] = self._products[j - 1][i - 1] = terms
+        self._lower = tuple(row[:i] for i, row in enumerate(self.M, 1))
+        # _products[i-1][j-i], i <= j: x_i x_j's nonzero (l, mu(i, j, l))
+        self._products = tuple(
+            tuple(
+                tuple((l, v) for l, v in enumerate(mu_row(i, j, j, min(d, i * j)), j) if v)
+                for j in range(i, d + 1)
+            )
+            for i in range(1, d + 1)
+        )
 
     # -- elements ----------------------------------------------------------
 
@@ -111,7 +113,12 @@ class BurnsidePresentation:
         return self.basis(1)
 
     def structure_constant(self, i: int, j: int, l: int) -> int:
-        return self.mu.get((i, j, l), 0)
+        """mu(i, j, l) for basis indices i and j; 0 for l above d, the
+        truncation of the degree-d window."""
+        check_layer(self.d, i, "i")
+        check_layer(self.d, j, "j")
+        check_height("l", l, 1)
+        return next((v for m, v in self._products[min(i, j) - 1][abs(i - j)] if m == l), 0)
 
     def full_product(self, i: int, j: int) -> dict[int, int]:
         """Untruncated basis product: all of mu(i, j, l) for
@@ -122,18 +129,23 @@ class BurnsidePresentation:
         return dict(zip(range(lo, i * j + 1), mu_row(i, j, lo, i * j)))
 
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
-        """Bilinear extension of the basis products; commutative."""
-        if a.dim != self.d or b.dim != self.d:
+        """Bilinear extension of the basis products; commutative.  Visits
+        each unordered pair i <= j of the union support of a and b once."""
+        ac, bc = a.coeffs, b.coeffs
+        if len(ac) != self.d or len(bc) != self.d:
             raise ValueError("dimension mismatch with presentation")
-        out = [0] * self.d
-        for ai, row in zip(a.coeffs, self._products):
-            if ai:
-                for bj, terms in zip(b.coeffs, row):
-                    if bj:
-                        c = ai * bj
-                        for l, value in terms:
+        out = [0] * (self.d + 1)  # out[l] for l = 1..d
+        support = []  # the union support at and above i
+        for i in range(self.d - 1, -1, -1):
+            if ac[i] or bc[i]:
+                ai, bi, row = ac[i], bc[i], self._products[i]
+                support.append(i)
+                for j in support:
+                    c = ai * bc[j] + ac[j] * bi if j > i else ai * bi
+                    if c:
+                        for l, value in row[j - i]:
                             out[l] += c * value
-        return RingElement(tuple(out))
+        return RingElement(tuple(out[1:]))
 
     def ghost(self, a: RingElement) -> tuple[int, ...]:
         """Image of a under the ghost homomorphism into prod Z;
@@ -147,8 +159,8 @@ class BurnsidePresentation:
         i <= j, ascending: (i, j, terms), where terms are the nonzero
         (l, mu(i, j, l)) with l ascending."""
         for i, row in enumerate(self._products, 1):
-            for j in range(i, self.d + 1):
-                yield i, j, tuple((l + 1, value) for l, value in row[j - 1])
+            for j, terms in enumerate(row, i):
+                yield i, j, terms
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -205,9 +217,10 @@ def quotient_presentation_check(d: int) -> bool:
     check_budget("quotient_presentation_check", d, ASSOCIATIVITY_MAX_D, "layers")
     pres = present(d)
     basis = [pres.basis(i) for i in range(1, d + 1)]
+    square = [[pres.multiply(a, b) for b in basis] for a in basis]  # x_i x_j, once
     return all(
-        pres.multiply(pres.multiply(a, b), c) == pres.multiply(a, pres.multiply(b, c))
-        for a, b, c in product(basis, repeat=3)
+        pres.multiply(square[i][j], basis[k]) == pres.multiply(basis[i], square[j][k])
+        for i, j, k in product(range(d), repeat=3)
     )
 
 

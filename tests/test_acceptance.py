@@ -72,7 +72,7 @@ def test_criterion_01_rank_three_ring():
         assert pres.multiply(x3, x3) == x3.scale(6)
         assert pres.multiply(x2, x3) == x3.scale(6)
         assert pres.multiply(x2, x2) == x2.scale(2) + x3.scale(4)
-        assert pres.M == [[1, 0, 0], [1, 2, 0], [1, 6, 6]]
+        assert pres.M == ((1, 0, 0), (1, 2, 0), (1, 6, 6))
 
 
 def test_criterion_02_mu_methods_agree():

@@ -60,12 +60,13 @@ def naive_ghost(a: RingElement) -> tuple[int, ...]:
 
 class TestPresentation:
     def test_rank_three_matrix(self):
-        assert present(3).M == [[1, 0, 0], [1, 2, 0], [1, 6, 6]]
+        assert present(3).M == ((1, 0, 0), (1, 2, 0), (1, 6, 6))
 
     def test_rank_one(self):
         pres = present(1)
-        assert pres.mu == {(1, 1, 1): 1}
-        assert pres.M == [[1]]
+        assert pres.structure_constant(1, 1, 1) == mu_stirling(1, 1, 1) == 1
+        assert list(pres.table()) == [(1, 1, ((1, 1),))]
+        assert pres.M == ((1,),)
 
     def test_matrix_lower_triangular_with_factorial_diagonal(self):
         pres = present(6)
@@ -82,9 +83,10 @@ class TestPresentation:
                     assert pres.structure_constant(i, j, l) == mu_brute(i, j, l)
 
     def test_structure_constants_are_the_closed_form_on_every_triple(self):
-        # mu holds the nonzero values of the Stirling closed form, which
-        # shares no code with the alternating sum present reads, in both
-        # orders of each pair, for every rank present accepts
+        # the Stirling closed form, which shares no code with the
+        # alternating sum present reads, on every triple in both orders of
+        # each pair, zeros included, for every rank present accepts; the
+        # stored terms are exactly its nonzero values for i <= j
         top = PRESENT_MAX_D
         oracle = {
             (i, j, l): mu_stirling(i, j, l)
@@ -93,21 +95,48 @@ class TestPresentation:
             for l in range(1, top + 1)
         }
         for d in range(1, top + 1):
-            want = {
-                (i, j, l): value
-                for (i, j, l), value in oracle.items()
-                if max(i, j, l) <= d and value
-            }
-            assert present(d).mu == want, d
+            pres = present(d)
+            triples = list(product(range(1, d + 1), repeat=3))
+            got = {(i, j, l): pres.structure_constant(i, j, l) for i, j, l in triples}
+            assert got == {t: oracle[t] for t in triples}, d
+            stored = {(i, j, l): v for i, j, terms in pres.table() for l, v in terms}
+            assert stored == {(i, j, l): v for (i, j, l), v in got.items() if i <= j and v}, d
 
     def test_structure_constant_symmetry(self):
         pres = present(7)
-        for (i, j, l), value in pres.mu.items():
-            assert pres.structure_constant(j, i, l) == value
+        for i, j, l in product(range(1, 8), repeat=3):
+            assert pres.structure_constant(j, i, l) == pres.structure_constant(i, j, l)
+
+    def test_structure_constant_refuses_an_index_above_d_and_truncates_l(self):
+        # the int rule for i, j and l is in test_combinat's INT_TAKERS
+        pres = present(3)
+        with pytest.raises(ValueError, match="^i 4 out of range 1..3$"):
+            pres.structure_constant(4, 1, 4)
+        with pytest.raises(ValueError, match="^j 4 out of range 1..3$"):
+            pres.structure_constant(1, 4, 4)
+        # l above d is outside the window: mu(2, 2, 4) = 1 is truncated
+        assert pres.full_product(2, 2)[4] == 1
+        assert pres.structure_constant(2, 2, 4) == 0
+        assert pres.structure_constant(3, 3, 9) == 0
 
     def test_budget(self):
         with pytest.raises(BudgetError):
             present(17)
+
+    def test_every_table_is_read_only_and_m_is_the_cached_ghost_matrix(self):
+        # M and ghost cannot disagree, and no cached table can be changed
+        for d in range(1, PRESENT_MAX_D + 1):
+            pres = present(d)
+            assert pres.M is burnside._ghost_matrix(d)
+            for table in (pres.M, pres._lower, pres._products):
+                with pytest.raises(TypeError):
+                    table[0] = ()
+                for row in table:
+                    with pytest.raises(TypeError):
+                        row[0] = 99
+            ghosts = [pres.ghost(pres.basis(j)) for j in range(1, d + 1)]
+            for i, j in product(range(1, d + 1), repeat=2):
+                assert ghosts[j - 1][i - 1] == pres.M[i - 1][j - 1], (d, i, j)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_table_is_every_nonzero_structure_constant_in_order(self, d):
@@ -153,6 +182,21 @@ class TestRingArithmetic:
             for a, b in zip(elements[::2], elements[1::2]):
                 assert pres.multiply(a, b) == naive_multiply(pres, a, b), d
                 assert pres.multiply(b, a) == naive_multiply(pres, b, a), d
+
+    def test_a_list_is_stored_as_the_tuple(self):
+        a = RingElement([1, 0])
+        assert a == RingElement((1, 0)) and type(a.coeffs) is tuple
+        assert hash(a) == hash(RingElement((1, 0)))
+
+    def test_a_list_element_multiplies_as_its_tuple(self):
+        # x_1 is the unit of the rank-2 ring
+        a = RingElement([1, 0])
+        assert present(2).multiply(a, a) == a
+
+    @pytest.mark.parametrize("coeffs, bad", [((1.5, 1), "1.5"), ((1, True), "True"), ([2, 2.0], "2.0")])
+    def test_a_coefficient_that_is_not_an_int_is_refused(self, coeffs, bad):
+        with pytest.raises(ValueError, match=f"^coefficient must be an int, got {bad}$"):
+            RingElement(coeffs)
 
     def test_dimension_mismatch(self):
         pres = present(3)
@@ -277,7 +321,7 @@ class TestCokernel:
         try:
             invariants = cokernel_invariants(16)
             assert calls == []
-            assert [list(row) for row in burnside._ghost_matrix(16)] == present(16).M
+            assert burnside._ghost_matrix(16) == present(16).M
             assert calls  # the spy sees the presentation's calls
         finally:
             present.cache_clear()
@@ -440,16 +484,22 @@ class TestRingCheck:
         assert ring_check(3)["ghost multiplicativity (seed=0)"] is False
 
     @pytest.mark.parametrize("d", [3, 8, 16])
-    def test_a_corrupted_product_term_fails_the_check(self, run_cli, d):
-        # one stored term of x_i x_d, i = d // 2 + 1, off by one in a
-        # fresh presentation: the ghost check must see it
+    def test_a_corrupted_product_term_fails_the_check(self, run_cli, monkeypatch, d):
+        # the first nonzero term of x_i x_d, i = d // 2 + 1, off by one in
+        # a fresh presentation: the ghost check must see it
+        i = d // 2 + 1
+
+        def corrupted(a, b, lo, hi):
+            row = mu_row(a, b, lo, hi)
+            if (a, b) == (i, d):
+                k = next(k for k, value in enumerate(row) if value)
+                row[k] += 1
+            return row
+
+        monkeypatch.setattr(burnside, "mu_row", corrupted)
         present.cache_clear()
         try:
-            pres = present(d)
-            i = d // 2 + 1
-            (l, value), *rest = pres._products[i - 1][d - 1]
-            corrupted = ((l, value + 1), *rest)
-            pres._products[i - 1][d - 1] = pres._products[d - 1][i - 1] = corrupted
+            assert present(d).structure_constant(i, d, d) == mu_stirling(i, d, d) + 1
             assert ghost_is_hom_check(d, trials=0) is False
             code, out, _ = run_cli(["ring", str(d), "--check"])
         finally:

@@ -623,7 +623,7 @@ def test_the_pipe_fence_sees_a_hand_written_handler():
 
 # The point and table fields the library's text forms read: `label()`,
 # `json_fields()` and `BurnsidePresentation.table()`.
-POINT_FIELDS = {"layer", "char", "height", "residue", "mu", "_products"}
+POINT_FIELDS = {"layer", "char", "height", "residue", "_products"}
 
 
 def _point_reads(tree: ast.AST) -> list[str]:
@@ -663,7 +663,7 @@ def test_the_point_fence_sees_a_hand_written_label():
         "def poset(args):\n"
         "    return lambda q: {'char': q.residue}\n"
         "def ring(pres):\n"
-        "    return sorted(pres.mu.items()), pres._products\n"
+        "    return [terms for row in pres._products for terms in row]\n"
         "def fine(pt, args):\n"
         "    pt.layer = 1\n"
         "    return pt.label(), args.slice, {'layer': 1}\n"

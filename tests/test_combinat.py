@@ -663,6 +663,10 @@ INT_TAKERS = {
     ),
     "basis": (_with(lambda i: present(3).basis(i), "i", (2,)), "i"),
     "full_product": (_with(lambda i, j: present(3).full_product(i, j), "ij", (2, 3)), "ij"),
+    "structure_constant": (
+        _with(lambda i, j, l: present(3).structure_constant(i, j, l), "ijl", (2, 3, 3)),
+        "ijl",
+    ),
     "check_layer": (_with(check_layer, ("d", "layer"), (3, 2)), ("d", "layer")),
     "balmer_prime": (
         _with(balmer_prime, ("d", "layer", "char", "height"), (3, 2, 2, 2)),

@@ -64,10 +64,14 @@ class RingElement:
             )
 
     def __add__(self, other: "RingElement") -> "RingElement":
+        if not isinstance(other, RingElement):
+            return NotImplemented
         self._check(other)
         return RingElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
+        if not isinstance(other, RingElement):
+            return NotImplemented
         self._check(other)
         return RingElement(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -75,10 +79,17 @@ class RingElement:
         return RingElement(tuple(-a for a in self.coeffs))
 
     def scale(self, n: int) -> "RingElement":
+        if type(n) is not int:
+            raise ValueError(f"factor must be an int, got {n!r}")
         return RingElement(tuple(n * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
+
+
+def _require_element(name: str, a) -> None:
+    if not isinstance(a, RingElement):
+        raise TypeError(f"{name} must be a RingElement, got {type(a)!r}")
 
 
 class BurnsidePresentation:
@@ -131,6 +142,8 @@ class BurnsidePresentation:
     def multiply(self, a: RingElement, b: RingElement) -> RingElement:
         """Bilinear extension of the basis products; commutative.  Visits
         each unordered pair i <= j of the union support of a and b once."""
+        _require_element("a", a)
+        _require_element("b", b)
         ac, bc = a.coeffs, b.coeffs
         if len(ac) != self.d or len(bc) != self.d:
             raise ValueError("dimension mismatch with presentation")
@@ -150,6 +163,7 @@ class BurnsidePresentation:
     def ghost(self, a: RingElement) -> tuple[int, ...]:
         """Image of a under the ghost homomorphism into prod Z;
         component i is sum_j surjections(i, j) * a_j."""
+        _require_element("a", a)
         if a.dim != self.d:
             raise ValueError("dimension mismatch with presentation")
         return tuple(sum(map(mul, row, a.coeffs)) for row in self._lower)

@@ -77,10 +77,9 @@ def z_membership(
     stored layer vanishes identically (char 0) or mod p (char p).  A
     point whose canonical layer fails `check_layer` for d raises
     ValueError; a glued spelling past d answers as its canonical point."""
-    if a.dim != pres.d:
-        raise ValueError("element dimension does not match presentation")
+    ghost = pres.ghost(a)  # refuses a non-element and a dimension mismatch
     check_layer(pres.d, q.layer)
-    value = pres.ghost(a)[q.layer - 1]
+    value = ghost[q.layer - 1]
     return value == 0 if q.char == 0 else value % q.char == 0
 
 

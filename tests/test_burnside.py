@@ -21,6 +21,7 @@ from excspec.burnside import (
     smith_normal_form,
 )
 from excspec.combinat import BudgetError, mu_brute, mu_row, mu_stirling, surjections
+from excspec.zariski import z_membership, zariski_prime
 
 
 def coeff_vectors(d: int):
@@ -193,10 +194,28 @@ class TestRingArithmetic:
         a = RingElement([1, 0])
         assert present(2).multiply(a, a) == a
 
-    @pytest.mark.parametrize("coeffs, bad", [((1.5, 1), "1.5"), ((1, True), "True"), ([2, 2.0], "2.0")])
+    @pytest.mark.parametrize("coeffs, bad", [((1.5, 1), 1.5), ((1, True), True), ([2, 2.0], 2.0)])
     def test_a_coefficient_that_is_not_an_int_is_refused(self, coeffs, bad):
         with pytest.raises(ValueError, match=f"^coefficient must be an int, got {bad}$"):
             RingElement(coeffs)
+        # so is a factor: True * 2 is an int, which the constructor takes
+        with pytest.raises(ValueError, match=f"^factor must be an int, got {bad}$"):
+            RingElement((1, 2)).scale(bad)
+
+    def test_an_operand_that_is_not_an_element_is_a_type_error(self):
+        pres, a = present(2), RingElement((1, 2))
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a + 1
+        with pytest.raises(TypeError, match="unsupported operand"):
+            a - (1, 2)
+        for call, name in [
+            (lambda: pres.multiply((1, 0), a), "a"),
+            (lambda: pres.multiply(a, [1, 0]), "b"),
+            (lambda: pres.ghost((1, 2)), "a"),
+            (lambda: z_membership(pres, (1, 2), zariski_prime(2, 1, 0)), "a"),
+        ]:
+            with pytest.raises(TypeError, match=f"^{name} must be a RingElement, got <class "):
+                call()
 
     def test_dimension_mismatch(self):
         pres = present(3)

@@ -1,9 +1,7 @@
-import ast
 import hashlib
 import itertools
 import re
 from collections import defaultdict
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -162,21 +160,6 @@ class TestPAdmissible:
         )
         assert is_p_admissible(values, p, d) == pairwise
 
-    def test_only_widths_and_the_check_read_delta_p(self):
-        """The admissibility inequality is stated once in each of its two
-        forms: capped at hmax in `_widths`, which the count DP and the
-        listing walk read, and exact in `is_p_admissible`.  So no other
-        function of classify calls delta_p."""
-        tree = ast.parse(Path(classify.__file__).read_text())
-        callers = {
-            top.name
-            for top in tree.body
-            for node in ast.walk(top)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "delta_p"
-        }
-        assert callers == {"_widths", "is_p_admissible"}
 
     @pytest.mark.parametrize("d, p, hmax", [(2, 2, 2), (3, 2, 1), (3, 3, 2)] + BRUTE_WINDOWS)
     def test_matches_brute_filter(self, d, p, hmax):

@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import json
 import os
@@ -556,119 +555,6 @@ def test_reader_closing_early_is_a_clean_exit(command, lines, tmp_path):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (b"" in taken, proc.wait(timeout=120), err) == (False, 0, b"")
-
-
-def _pipe_handlers(tree: ast.AST) -> list[str]:
-    """The innermost function around each `except` clause naming
-    BrokenPipeError and each call of `dup2`."""
-    found = set()
-
-    def names(node):
-        return {n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
-            if "BrokenPipeError" in names(node.type):
-                found.add(owner)
-        elif isinstance(node, ast.Call) and "dup2" in names(node.func):
-            found.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, "<module>")
-    return sorted(found)
-
-
-def test_only_guarded_handles_a_closed_pipe():
-    """The exit-code contract is stated once: `cli.main` and both scripts
-    end through `cli.guarded`, so no other function catches
-    BrokenPipeError or points stdout at /dev/null."""
-    root = Path(__file__).resolve().parents[1]
-    paths = sorted((root / "src" / "excspec").rglob("*.py")) + sorted((root / "scripts").glob("*.py"))
-    handlers = [
-        f"{path.relative_to(root).as_posix()} ({name})"
-        for path in paths
-        for name in _pipe_handlers(ast.parse(path.read_text()))
-    ]
-    assert handlers == ["src/excspec/cli.py (guarded)"]
-
-
-def test_the_pipe_fence_sees_a_hand_written_handler():
-    tree = ast.parse(
-        "import os\n"
-        "def f():\n"
-        "    try:\n"
-        "        print('x')\n"
-        "    except (ValueError, BrokenPipeError):\n"
-        "        pass\n"
-        "def g():\n"
-        "    def inner():\n"
-        "        os.dup2(0, 1)\n"
-        "    return inner\n"
-        "def h():\n"
-        "    try:\n"
-        "        pass\n"
-        "    except OSError:\n"
-        "        return os.open(os.devnull, os.O_WRONLY)\n"
-        "try:\n"
-        "    pass\n"
-        "except BrokenPipeError:\n"
-        "    pass\n"
-    )
-    assert _pipe_handlers(tree) == ["<module>", "f", "inner"]
-
-
-# The point and table fields the library's text forms read: `label()`,
-# `json_fields()` and `BurnsidePresentation.table()`.
-POINT_FIELDS = {"layer", "char", "height", "residue", "_products"}
-
-
-def _point_reads(tree: ast.AST) -> list[str]:
-    """The innermost function around each read of a POINT_FIELDS
-    attribute."""
-    found = set()
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and node.attr in POINT_FIELDS
-        ):
-            found.add(owner)
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, "<module>")
-    return sorted(found)
-
-
-def test_cli_reads_no_point_field():
-    """cli.py parses and prints: each point prints itself, and the ring
-    table is walked by `BurnsidePresentation.table()`, so no function of
-    cli.py reads a point's or a presentation's fields."""
-    path = Path(__file__).resolve().parents[1] / "src" / "excspec" / "cli.py"
-    assert _point_reads(ast.parse(path.read_text())) == []
-
-
-def test_the_point_fence_sees_a_hand_written_label():
-    tree = ast.parse(
-        "def label(pt):\n"
-        "    char = '*' if pt.height == 1 else str(pt.char)\n"
-        "    return f'P({pt.layer}|{char},{pt.height})'\n"
-        "def poset(args):\n"
-        "    return lambda q: {'char': q.residue}\n"
-        "def ring(pres):\n"
-        "    return [terms for row in pres._products for terms in row]\n"
-        "def fine(pt, args):\n"
-        "    pt.layer = 1\n"
-        "    return pt.label(), args.slice, {'layer': 1}\n"
-    )
-    assert _point_reads(tree) == ["label", "poset", "ring"]
 
 
 def readme_cli_examples():

@@ -1,4 +1,3 @@
-import ast
 import math
 import operator
 import re
@@ -386,45 +385,6 @@ class TestDelta:
                 finite = [l for l in range(1, k + 1) if delta_p(p, k, l) != INF]
                 assert list(layer_class(p, k)) == finite, (p, k)
 
-    def test_no_layer_congruence_outside_combinat(self):
-        """Only combinat states p-1 | k-l (delta_p tests it, layer_class
-        walks it), so no other module takes a remainder or a range step
-        by p - 1 or char - 1.  Docstrings are string constants, which the
-        syntax tree does not search."""
-
-        def modulus(node):  # p - 1 or char - 1, or its negation
-            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-                node = node.operand
-            return (
-                isinstance(node, ast.BinOp)
-                and isinstance(node.op, ast.Sub)
-                and isinstance(node.left, ast.Name)
-                and node.left.id in ("p", "char")
-                and isinstance(node.right, ast.Constant)
-                and node.right.value == 1
-            )
-
-        def congruence(node):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
-                return modulus(node.right)
-            return (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "range"
-                and len(node.args) == 3
-                and modulus(node.args[2])
-            )
-
-        root = Path(__file__).resolve().parents[1]
-        offenders = [
-            f"{path.relative_to(root)}:{node.lineno}"
-            for path in sorted((root / "src").rglob("*.py"))
-            if path.name != "combinat.py"
-            for node in ast.walk(ast.parse(path.read_text()))
-            if congruence(node)
-        ]
-        assert offenders == []
-
 
 # Each constructor that takes a layer of the degree-d window, as a
 # function of (d, layer) with its other arguments valid.
@@ -748,120 +708,6 @@ def test_the_zero_char_is_the_int_0(take, zero):
     take(2)
     with pytest.raises(ValueError, match=rf"^(char|residue) must be prime, got {re.escape(repr(zero))}$"):
         take(zero)
-
-
-# The only functions of the package allowed to test an argument against
-# a bound of 0 or 1 and raise ValueError: the argument rules themselves.
-ARGUMENT_RULES = {"check_height", "check_layer", "check_window", "check_prime"}
-
-
-def _bound_guards(tree: ast.AST) -> list[tuple[str, int]]:
-    """(function, line) of each `if` that compares with the int 0 or 1
-    by <, <=, > or >= and raises ValueError in its body."""
-
-    def bound(node):
-        return (
-            isinstance(node, ast.Compare)
-            and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
-            and any(
-                isinstance(side, ast.Constant) and type(side.value) is int and side.value in (0, 1)
-                for side in (node.left, *node.comparators)
-            )
-        )
-
-    def raises_value_error(node):
-        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        return isinstance(exc, ast.Name) and exc.id == "ValueError"
-
-    found = set()
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.If)
-                and any(bound(n) for n in ast.walk(node.test))
-                and any(
-                    isinstance(n, ast.Raise) and raises_value_error(n)
-                    for stmt in node.body
-                    for n in ast.walk(stmt)
-                )
-            ):
-                found.add((fn.name, node.lineno))
-    return sorted(found)
-
-
-def test_no_hand_written_bound_outside_the_argument_rules():
-    """Every entry point reads check_height, check_layer, check_window or
-    check_prime, so no other function restates a bound of 0 or 1."""
-    root = Path(__file__).resolve().parents[1]
-    offenders = [
-        f"{path.relative_to(root)}:{line} ({name})"
-        for path in sorted((root / "src" / "excspec").rglob("*.py"))
-        + sorted((root / "scripts").glob("*.py"))
-        for name, line in _bound_guards(ast.parse(path.read_text()))
-        if name not in ARGUMENT_RULES
-    ]
-    assert offenders == []
-
-
-def test_the_bound_fence_sees_a_hand_written_guard():
-    tree = ast.parse(
-        "def f(i, j):\n"
-        "    if not 1 <= i <= j:\n"
-        "        raise ValueError('need 1 <= i <= j')\n"
-        "    if j > 0:\n"
-        "        return i\n"
-        "    if i < True:\n"
-        "        raise ValueError('a bool is not the int 1')\n"
-    )
-    assert _bound_guards(tree) == [("f", 2)]
-
-
-def _budget_raises(tree: ast.AST) -> list[tuple[str | None, int]]:
-    """(innermost function or None, line) of each raise of BudgetError."""
-    found = []
-
-    def visit(node, fn):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
-                if name == "BudgetError":
-                    found.append((fn, child.lineno))
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if inner else fn)
-
-    visit(tree, None)
-    return found
-
-
-def test_every_budget_error_is_raised_by_check_budget():
-    """Every budget is refused through combinat.check_budget, the one
-    statement of the rule."""
-    root = Path(__file__).resolve().parents[1]
-    offenders = [
-        f"{path.relative_to(root)}:{line} ({name})"
-        for path in sorted((root / "src" / "excspec").rglob("*.py"))
-        + sorted((root / "scripts").glob("*.py"))
-        for name, line in _budget_raises(ast.parse(path.read_text()))
-        if name != "check_budget"
-    ]
-    assert offenders == []
-
-
-def test_the_budget_fence_sees_a_hand_written_raise():
-    tree = ast.parse(
-        "def check_budget(name, amount, limit, unit):\n"
-        "    raise BudgetError(name)\n"
-        "def f(k):\n"
-        "    def spend():\n"
-        "        raise combinat.BudgetError('over')\n"
-        "    if k > 64:\n"
-        "        raise BudgetError\n"
-        "raise BudgetError('at import')\n"
-    )
-    assert _budget_raises(tree) == [("check_budget", 2), ("spend", 5), ("f", 7), (None, 8)]
 
 
 # Each budget at its boundary, by constant and the function it bounds: a
